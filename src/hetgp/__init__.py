@@ -49,7 +49,6 @@ from .metrics import (
     point_metrics,
     wasserstein1,
 )
-from .quadrature import expected_loglik_gh
 from .gpr import (
     ExactGprModel,
     GprFitConfig,
@@ -126,7 +125,6 @@ __all__ = [
     "derive_seed",
     "elbo",
     "expected_loglik_gaussian",
-    "expected_loglik_gh",
     "feature_specs_from_json",
     "fit_transforms",
     "gaussian_kl",

@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from ._io import FORMAT_VERSION, check_version, dump_json, read_json
 from .data import DataSet, TransformPipeline
@@ -42,6 +43,13 @@ KZZ_JITTER_REL = 1e-6
 INIT_CHOL_SCALE = 0.1
 
 NOISE_PARAMETERIZATIONS = ("variance", "stddev")
+
+# subsample cap for the coarse exact fit that seeds f and the noise level
+COARSE_FIT_SIZE = 300
+# relative ELBO improvement that resets the early-stop counter
+FTOL_REL = 1e-6
+# iterations without such an improvement before stopping
+PATIENCE = 100
 
 
 # =========================
@@ -91,6 +99,22 @@ class LatentSparseGp:
     @property
     def input_dim(self) -> int:
         return self.Z.shape[1]
+
+    @cached_property
+    def whitened(self):
+        """``(C, eta, Lam)``: C = chol(jittered K_ZZ), eta = C^{-1}
+        (var_mean - mean_const), Lam = C^{-1} var_chol.
+
+        Computed once from the stored fields and shared by every query, so
+        a model and its saved-and-loaded copy hold the same bits.
+        """
+        _, C = _kzz_chol(self.params, self.Z)
+        eta = solve_triangular(C, self.var_mean - self.mean_const,
+                               lower=True, check_finite=False)
+        Lam = np.tril(solve_triangular(C, self.var_chol, lower=True, check_finite=False))
+        for a in (C, eta, Lam):
+            a.setflags(write=False)
+        return C, eta, Lam
 
 
 @dataclass(frozen=True)
@@ -158,33 +182,37 @@ class ElboReport:
 # Core operations
 # =========================
 
-def _latent_chol(l: LatentSparseGp):
+def _kzz_chol(params: KernelParams, Z: np.ndarray):
     """Jittered K_ZZ and its Cholesky factor."""
-    Kzz = kernel_matrix(l.params, l.Z)
-    Kzz[np.diag_indices_from(Kzz)] += KZZ_JITTER_REL * l.params.signal_variance
+    Kzz = kernel_matrix(params, Z)
+    Kzz[np.diag_indices_from(Kzz)] += KZZ_JITTER_REL * params.signal_variance
     return Kzz, stable_cholesky(Kzz, 0.0)
 
 
-def latent_posterior(l: LatentSparseGp, Xstar, *, warn: bool = True):
-    """Marginal posterior mean and variance of the latent at query points.
+def _marginals(params, const, C, eta, Lam, Z, X):
+    """Posterior marginals of one latent at X from its whitened state.
 
-    With A = K_{*Z} K_{ZZ}^{-1}:
-    mean = mean_const + A (var_mean - mean_const), and
-    var = k(x,x) - rowsum(A o K_{*Z}) + rowsum((A var_chol)^2).
+    With At = C^{-1} K_ZX, one column per point:
+    mean = const + At^T eta, and
+    var = k(x,x) - colsum(At^2) + colsum((Lam^T At)^2), unclamped.
+    Returns ``(Kxz, At, B, a, v_raw)`` with B = Lam^T At, the
+    intermediates the ELBO gradient reuses.
     """
+    Kxz = kernel_matrix(params, X, Z)
+    At = solve_triangular(C, Kxz.T, lower=True, check_finite=False)
+    a = const + At.T @ eta
+    B = Lam.T @ At
+    v_raw = (params.signal_variance - np.einsum("ij,ij->j", At, At)
+             + np.einsum("ij,ij->j", B, B))
+    return Kxz, At, B, a, v_raw
+
+
+def latent_posterior(l: LatentSparseGp, Xstar, *, warn: bool = True):
+    """Marginal posterior mean and variance of the latent at query points."""
     Xs = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xs.shape[1] != l.input_dim:
         raise ShapeError(f"queries have {Xs.shape[1]} columns, latent has {l.input_dim}")
-    _, C = _latent_chol(l)
-    Kxz = kernel_matrix(l.params, Xs, l.Z)
-    A = cho_solve((C, True), Kxz.T, check_finite=False).T
-    a = l.mean_const + A @ (l.var_mean - l.mean_const)
-    Bm = A @ l.var_chol
-    v = (
-        l.params.signal_variance
-        - np.einsum("ij,ij->i", A, Kxz)
-        + np.einsum("ij,ij->i", Bm, Bm)
-    )
+    *_, a, v = _marginals(l.params, l.mean_const, *l.whitened, l.Z, Xs)
     if warn and np.any(v < -1e-10):
         warnings.warn(f"latent variance dipped to {v.min():.3e}; clamping at 0")
     return a, np.maximum(v, 0.0)
@@ -275,7 +303,7 @@ def elbo(model: ChainedGpModel, d: DataSet, minibatch=None) -> ElboReport:
 
     kls = []
     for latent in (model.latent_f, model.latent_g):
-        Kzz, _ = _latent_chol(latent)
+        Kzz, _ = _kzz_chol(latent.params, latent.Z)
         prior_mean = np.full(latent.num_inducing, latent.mean_const)
         kl = gaussian_kl(latent.var_mean, latent.var_chol, prior_mean, Kzz)
         kls.append(max(kl, 0.0))
@@ -399,20 +427,14 @@ class ElboObjective:
         theta = np.empty(self.size)
         for layout, latent in ((self.layout_f, model.latent_f),
                                (self.layout_g, model.latent_g)):
-            _, C = _latent_chol(latent)
-            eta = solve_triangular(C, latent.var_mean - latent.mean_const,
-                                   lower=True, check_finite=False)
-            Lam = np.tril(solve_triangular(C, latent.var_chol,
-                                           lower=True, check_finite=False))
+            _, eta, Lam = latent.whitened
             layout.write(theta, latent.params, latent.mean_const, eta, Lam,
                          latent.Z)
         return theta
 
     def _dewhiten(self, layout, theta, fixed_Z) -> LatentSparseGp:
         params, const, eta, Lam, Z = layout.read(theta, fixed_Z)
-        Kzz = kernel_matrix(params, Z)
-        Kzz[np.diag_indices_from(Kzz)] += KZZ_JITTER_REL * params.signal_variance
-        C = stable_cholesky(Kzz, 0.0)
+        _, C = _kzz_chol(params, Z)
         return LatentSparseGp(params, const, Z, const + C @ eta, np.tril(C @ Lam))
 
     def unpack(self, theta: np.ndarray) -> ChainedGpModel:
@@ -429,16 +451,8 @@ class ElboObjective:
 
     def _forward(self, layout, theta, fixed_Z, X):
         params, const, eta, Lam, Z = layout.read(theta, fixed_Z)
-        sv = params.signal_variance
-        Kzz = kernel_matrix(params, Z)
-        Kzz[np.diag_indices_from(Kzz)] += KZZ_JITTER_REL * sv
-        C = stable_cholesky(Kzz, 0.0)
-        Kxz = kernel_matrix(params, X, Z)
-        # prior-scaled cross weights, one column per data point
-        At = solve_triangular(C, Kxz.T, lower=True, check_finite=False)
-        a = const + At.T @ eta
-        B = Lam.T @ At
-        v_raw = sv - np.einsum("ij,ij->j", At, At) + np.einsum("ij,ij->j", B, B)
+        Kzz, C = _kzz_chol(params, Z)
+        Kxz, At, B, a, v_raw = _marginals(params, const, C, eta, Lam, Z, X)
         v = np.maximum(v_raw, 0.0)
         diag_lam = np.diagonal(Lam)
         kl = max(0.0, float(
@@ -561,10 +575,6 @@ class CgpFitConfig:
     learn_Z: bool = False
     seed: int = 0
     noise_parameterization: str = "variance"
-    warm_start: bool = True      # seed f and the noise level from a coarse exact fit
-    coarse_fit_size: int = 300   # subsample cap for that coarse fit
-    ftol_rel: float = 1e-6       # relative improvement threshold for early stop
-    patience: int = 100          # iterations without improvement before stopping
     monotone: bool = False       # reject any step that lowers the ELBO
 
 
@@ -596,8 +606,8 @@ def _initial_model(d: DataSet, config: CgpFitConfig, rng) -> ChainedGpModel:
     mu_f = np.zeros(num)
     resid_var = max(float(np.var(y)), 1e-12)
     coarse = None
-    if config.warm_start and n >= 2:
-        sub = rng.choice(n, size=min(config.coarse_fit_size, n), replace=False)
+    if n >= 2:
+        sub = rng.choice(n, size=min(COARSE_FIT_SIZE, n), replace=False)
         sub.sort()
         try:
             coarse = gpr_fit(
@@ -634,15 +644,12 @@ def _initial_model(d: DataSet, config: CgpFitConfig, rng) -> ChainedGpModel:
     # variance; at S = K_ZZ the expected log-likelihood is dominated by
     # the prior-sized posterior variance of the mean latent and the
     # variance latent sees almost no residual signal
-    def prior_chol(params, Z_):
-        Kzz = kernel_matrix(params, Z_, Z_)
-        Kzz += KZZ_JITTER_REL * params.signal_variance * np.eye(len(Z_))
-        return INIT_CHOL_SCALE * stable_cholesky(Kzz, 0.0)
-
     params_g = KernelParams(np.ones(m), 1.0)
-    latent_f = LatentSparseGp(params_f, const_f, Z, mu_f, prior_chol(params_f, Z))
+    latent_f = LatentSparseGp(
+        params_f, const_f, Z, mu_f, INIT_CHOL_SCALE * _kzz_chol(params_f, Z)[1],
+    )
     latent_g = LatentSparseGp(
-        params_g, const_g, Z.copy(), mu_g, prior_chol(params_g, Z),
+        params_g, const_g, Z.copy(), mu_g, INIT_CHOL_SCALE * _kzz_chol(params_g, Z)[1],
     )
     return ChainedGpModel(
         latent_f, latent_g,
@@ -697,58 +704,39 @@ def cgp_fit(d: DataSet, config: CgpFitConfig | None = None):
 
     for _ in range(config.max_iters):
         snap = adam.snapshot()
-        theta_prev = theta
         batch = None
         if not full_batch:
             batch = rng.choice(n, size=config.minibatch_size, replace=False)
         cand = adam.step(theta, -grad)
         try:
             report, cand_grad = obj.value_and_grad(cand, batch)
-            ok = np.isfinite(report.elbo)
+            ok = np.isfinite(report.elbo) and not (
+                guarded and report.elbo < accepted - 1e-9
+            )
         except NotPositiveDefiniteError:
             ok = False
+        if not ok:
+            # roll the whole optimizer state back and take smaller steps
+            adam.restore(snap)
+            adam.learning_rate *= 0.5
+            stall += 1
+            if adam.learning_rate < 1e-10 or stall >= PATIENCE:
+                break
+            continue
+        theta = cand
+        grad = cand_grad
+        accepted = report.elbo
+        trace.append(report)
         if guarded:
-            if not ok or report.elbo < accepted - 1e-9:
-                # roll the whole optimizer state back and take smaller steps
-                adam.restore(snap)
-                theta = theta_prev
-                adam.learning_rate *= 0.5
-                stall += 1
-                if adam.learning_rate < 1e-10 or stall >= config.patience:
-                    break
-                continue
-            theta = cand
-            grad = cand_grad
-            accepted = report.elbo
-            trace.append(report)
             # let the step size climb back after a run of clean accepts
             adam.learning_rate = min(adam.learning_rate * 1.1, config.learning_rate)
-        else:
-            if not ok:
-                adam.restore(snap)
-                theta = theta_prev
-                adam.learning_rate *= 0.5
-                stall += 1
-                if adam.learning_rate < 1e-10 or stall >= config.patience:
-                    break
-                continue
-            theta = cand
-            grad = cand_grad
-            trace.append(report)
-            if full_batch:
-                accepted = report.elbo
         if guarded or full_batch:
-            if accepted > best + config.ftol_rel * (abs(best) + 1.0):
+            stall = 0 if accepted > best + FTOL_REL * (abs(best) + 1.0) else stall + 1
+            if accepted > best:
                 best = accepted
                 theta_best = theta.copy()
-                stall = 0
-            else:
-                if accepted > best:
-                    best = accepted
-                    theta_best = theta.copy()
-                stall += 1
-                if stall >= config.patience:
-                    break
+            if stall >= PATIENCE:
+                break
 
     if full_batch:
         final_theta = theta_best
@@ -854,17 +842,21 @@ def cgp_from_dict(doc: dict, path=None) -> ChainedGpModel:
     check_version(doc, "model", path)
     if doc.get("kind") != "cgp":
         raise FormatError(f"expected a cgp model document, got kind={doc.get('kind')!r}")
-    transforms = doc.get("transforms")
-    if transforms is not None:
-        transforms = TransformPipeline.from_dict(transforms)
-    return ChainedGpModel(
-        _latent_from_dict(doc["latent_f"]),
-        _latent_from_dict(doc["latent_g"]),
-        transforms=transforms,
-        feature_names=tuple(doc["feature_names"]),
-        target_name=doc["target_name"],
-        noise_parameterization=doc["noise_parameterization"],
-    )
+    try:
+        transforms = doc.get("transforms")
+        if transforms is not None:
+            transforms = TransformPipeline.from_dict(transforms)
+        return ChainedGpModel(
+            _latent_from_dict(doc["latent_f"]),
+            _latent_from_dict(doc["latent_g"]),
+            transforms=transforms,
+            feature_names=tuple(doc["feature_names"]),
+            target_name=doc["target_name"],
+            noise_parameterization=doc["noise_parameterization"],
+        )
+    except KeyError as e:
+        where = f"{path}: " if path else ""
+        raise FormatError(f"{where}cgp model document is missing key {e}") from None
 
 
 def save_cgp(model: ChainedGpModel, path) -> None:

@@ -521,7 +521,10 @@ def _read_predictions(path, feature_names):
     per_query: dict[int, dict] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = _csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
         expected = ["query_index", *feature_names, "statistic", "value"]
         if header != expected:
             raise FormatError(f"{path}: header {header} != expected {expected}")

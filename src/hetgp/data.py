@@ -372,32 +372,21 @@ def zscore_filter(d: DataSet, threshold: float = 3.0):
     return d.take(np.flatnonzero(z <= threshold)), removed
 
 
-def fit_transforms(
-    d: DataSet, target_positive: bool = False, feature_scaling: str = "standardize"
-):
+def fit_transforms(d: DataSet, target_positive: bool = False):
     """Standardize features and target; log-transform positive targets first.
 
-    Returns (transformed DataSet, pipeline). ``feature_scaling="range"``
-    maps each feature to [0, 1] by its observed range instead. A constant
-    feature column cannot be scaled either way and is an error; a constant
-    target falls back to scale 1 so degenerate fits stay possible.
+    Returns (transformed DataSet, pipeline). A constant feature column
+    cannot be scaled and is an error; a constant target falls back to
+    scale 1 so degenerate fits stay possible.
     """
-    if feature_scaling not in ("standardize", "range"):
-        raise DataError(f"unknown feature_scaling {feature_scaling!r}")
     X, y = d.features, d.target
     records = []
     for j, name in enumerate(d.feature_names):
         col = X[:, j]
-        if feature_scaling == "standardize":
-            shift, scale = float(np.mean(col)), float(np.std(col))
-            kind = "standardize"
-        else:
-            lo, hi = float(np.min(col)), float(np.max(col))
-            shift, scale = lo, hi - lo
-            kind = "range"
+        shift, scale = float(np.mean(col)), float(np.std(col))
         if scale <= 0.0 or not math.isfinite(scale):
             raise DataError(f"feature column {name!r} is constant and cannot be scaled")
-        records.append(TransformRecord(kind, shift, scale))
+        records.append(TransformRecord("standardize", shift, scale))
 
     if target_positive:
         bad = np.flatnonzero(y <= 0.0)

@@ -27,6 +27,9 @@ LOG2PI = float(np.log(2.0 * np.pi))
 # only as an overflow guard (exp of +-11.5 spans roughly 1e-5 .. 1e5)
 LOG_BOUND = 11.5
 
+# noise variance at the default start
+INIT_NOISE = 0.1
+
 
 @dataclass(frozen=True)
 class GprFitConfig:
@@ -36,7 +39,6 @@ class GprFitConfig:
     max_iters: int = 150       # L-BFGS-B iterations for the polish phase
     screen_iters: int = 40     # iterations for each screening start
     seed: int = 0              # jitters the restart initializations
-    init_noise: float = 0.1    # noise variance at the default start
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def gpr_fit(d, opt: GprFitConfig | None = None) -> ExactGprModel:
     if n < 2:
         raise ShapeError(f"need at least 2 points to fit, got {n}")
 
-    base = np.concatenate([np.zeros(m + 1), [np.log(opt.init_noise)], [0.0]])
+    base = np.concatenate([np.zeros(m + 1), [np.log(INIT_NOISE)], [0.0]])
     rng = np.random.default_rng(opt.seed)
     starts = [base]
     for _ in range(opt.restarts):
@@ -261,24 +263,28 @@ def gpr_from_dict(doc: dict, path=None) -> ExactGprModel:
     check_version(doc, "model", path)
     if doc.get("kind") != "gpr":
         raise FormatError(f"expected a gpr model document, got kind={doc.get('kind')!r}")
-    params = KernelParams(
-        np.asarray(doc["kernel"]["lengthscales"], dtype=float),
-        float(doc["kernel"]["signal_variance"]),
-    )
-    transforms = doc.get("transforms")
-    if transforms is not None:
-        transforms = TransformPipeline.from_dict(transforms)
-    # factorizations are recomputed, never trusted from disk
-    return ExactGprModel.assemble(
-        np.asarray(doc["train_X"], dtype=float),
-        np.asarray(doc["train_y"], dtype=float),
-        params,
-        float(doc["noise_variance"]),
-        float(doc["mean_const"]),
-        transforms=transforms,
-        feature_names=tuple(doc["feature_names"]),
-        target_name=doc["target_name"],
-    )
+    try:
+        params = KernelParams(
+            np.asarray(doc["kernel"]["lengthscales"], dtype=float),
+            float(doc["kernel"]["signal_variance"]),
+        )
+        transforms = doc.get("transforms")
+        if transforms is not None:
+            transforms = TransformPipeline.from_dict(transforms)
+        # factorizations are recomputed, never trusted from disk
+        return ExactGprModel.assemble(
+            np.asarray(doc["train_X"], dtype=float),
+            np.asarray(doc["train_y"], dtype=float),
+            params,
+            float(doc["noise_variance"]),
+            float(doc["mean_const"]),
+            transforms=transforms,
+            feature_names=tuple(doc["feature_names"]),
+            target_name=doc["target_name"],
+        )
+    except KeyError as e:
+        where = f"{path}: " if path else ""
+        raise FormatError(f"{where}gpr model document is missing key {e}") from None
 
 
 def save_gpr(model: ExactGprModel, path) -> None:

@@ -1,10 +1,13 @@
-"""Shared builders for the chained-model tests.
+"""Shared builders and oracles for the chained-model tests.
 
 The collapse construction turns a homoscedastic exact-GPR posterior into
 an equivalent chained model: the mean latent carries the exact posterior
 at Z = X and the variance latent is pinned to the constant log noise
 variance with a vanishing kernel, so the bound should sit just below the
 exact log marginal likelihood.
+
+The Gauss-Hermite quadrature of the expected log-likelihood is an
+independent cross-check for the closed form used during training.
 """
 
 import math
@@ -35,3 +38,28 @@ def collapse_model(X, y, params, noise_variance, mean_const=0.0):
         params_g, log_noise, X.copy(), np.full(n, log_noise), stable_cholesky(Kg, 0.0)
     )
     return ChainedGpModel(latent_f, latent_g)
+
+
+def expected_loglik_gh(
+    y: float, a_f: float, v_f: float, a_g: float, v_g: float, num_nodes: int = 50
+) -> float:
+    """Tensor-product Gauss-Hermite estimate of E[log N(y | f, e^g)].
+
+    The double integral over f ~ N(a_f, v_f) and g ~ N(a_g, v_g) is
+    evaluated on a grid of ``num_nodes`` Hermite nodes per latent; 50 is
+    far past convergence for the moderate variances these models see.
+    Slow and honest by design; use
+    :func:`hetgp.chained.expected_loglik_gaussian` in hot paths.
+    """
+    if v_f < 0 or v_g < 0:
+        raise ValueError(f"variances must be non-negative, got v_f={v_f}, v_g={v_g}")
+    t, w = np.polynomial.hermite.hermgauss(num_nodes)
+    f = a_f + math.sqrt(2.0 * v_f) * t  # nodes for f
+    g = a_g + math.sqrt(2.0 * v_g) * t  # nodes for g
+    # log N(y | f_i, e^{g_j}) over the grid
+    ll = (
+        -0.5 * math.log(2.0 * math.pi)
+        - 0.5 * g[None, :]
+        - 0.5 * np.exp(-g)[None, :] * (y - f[:, None]) ** 2
+    )
+    return float(w @ ll @ w / math.pi)

@@ -31,9 +31,8 @@ from hetgp.data import DataSet, fit_transforms, load_csv, sobol_design, write_cs
 from hetgp.gpr import GprFitConfig, gpr_fit, gpr_nll, gpr_predict, load_gpr, nll_and_grad, save_gpr
 from hetgp.kernels import KernelParams
 from hetgp.metrics import EmpiricalDistribution, normalized_wasserstein, wasserstein1
-from hetgp.quadrature import expected_loglik_gh
 from hetgp.synthbench import derive_seed, generate_dataset, load_scenario, replication_reference
-from support import collapse_model
+from support import collapse_model, expected_loglik_gh
 
 pytestmark = pytest.mark.acceptance
 

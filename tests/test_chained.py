@@ -28,8 +28,7 @@ from hetgp.data import DataSet, TransformRecord, TransformPipeline, fit_transfor
 from hetgp.errors import FormatError, ShapeError
 from hetgp.gpr import gpr_nll
 from hetgp.kernels import KernelParams, kernel_matrix
-from hetgp.quadrature import expected_loglik_gh
-from support import collapse_model
+from support import collapse_model, expected_loglik_gh
 
 LOG2PI = math.log(2.0 * math.pi)
 

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import hetgp.chained
 from hetgp import __version__
 from hetgp.cli import _expand_slice, _parse_slice, main
 from hetgp.errors import DataError
@@ -290,6 +291,33 @@ def test_predict_rejects_non_model_json(pipeline, tmp_path, capsys):
     assert "model kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, missing", [("cgp", "latent_f"), ("gpr", "kernel")])
+def test_predict_rejects_model_missing_keys(kind, missing, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"format_version": 1, "kind": kind}))
+    rc = _run("predict", "--model", model, "--at-slice", "x=0.5",
+              "-o", tmp_path / "p.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "missing key" in err and repr(missing) in err
+
+
+def test_predict_hgpr_factors_each_kzz_once(pipeline, tmp_path, monkeypatch):
+    # the K_ZZ factor of each latent is shared by every query of a run
+    calls = []
+    real = hetgp.chained.stable_cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hetgp.chained, "stable_cholesky", counted)
+    assert _run("predict", "--model", pipeline / "hgpr.json",
+                "--at-slice", S1_SWEEP, "--samples", 10,
+                "-o", tmp_path / "p.csv") == 0
+    assert len(calls) == 2
+
+
 def test_predict_default_case_slice_matches_case_study_vector(tmp_path):
     data = tmp_path / "d6.csv"
     assert _run("sample", "--scenario", "S6", "--n", 60, "--seed", 1,
@@ -377,6 +405,15 @@ def test_evaluate_rejects_label_count_mismatch(pipeline, tmp_path, capsys):
               "--labels", "a", "b", "-o", tmp_path / "eval.json")
     assert rc == 2
     assert "labels" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_empty_predictions_file(pipeline, tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text("")
+    rc = _run("evaluate", "--reference", pipeline / "ref.json",
+              "--predictions", pred, "-o", tmp_path / "eval.json")
+    assert rc == 2
+    assert "file is empty" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_sampleless_predictions(pipeline, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetgp.quadrature import expected_loglik_gh
+from support import expected_loglik_gh
 
 
 def test_point_mass_reduces_to_log_density():
