@@ -9,14 +9,21 @@ batch CLI (``hetgp``).
 
 import os as _os
 
-# HETGP_THREADS caps BLAS parallelism; it must land in the environment
-# before numpy loads, which is why this sits above every other import.
-# Explicitly set *_NUM_THREADS variables win.
-_threads = _os.environ.get("HETGP_THREADS")
+# BLAS threads: HETGP_THREADS if set; else, if the caller set a
+# *_NUM_THREADS variable, BLAS is left as it is; else one thread. The
+# package's algebra is on matrices of a few hundred rows, where waking a
+# second OpenBLAS thread costs more than it saves. The environment only
+# reaches a BLAS that loads later, so the count is also set at runtime,
+# below the imports, on the libraries numpy and scipy already loaded.
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_threads = _os.environ.get("HETGP_THREADS") or (
+    None if any(v in _os.environ for v in _BLAS_VARS) else "1"
+)
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    if not _threads.strip().isdigit() or int(_threads) < 1:
+        raise ValueError(f"HETGP_THREADS must be a positive integer, got {_threads!r}")
+    for _var in _BLAS_VARS:
         _os.environ.setdefault(_var, _threads)
-del _os, _threads
 
 from .errors import (
     DataError,
@@ -89,6 +96,36 @@ from .synthbench import (
     shipped_scenario_ids,
     simulate,
 )
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set the thread count of the OpenBLAS builds numpy and scipy loaded.
+
+    ``dlsym`` on an extension module also searches the libraries it links,
+    so each BLAS is reached through a module known to link it. A build
+    without these symbols (MKL, say) keeps the environment's count.
+    """
+    import ctypes
+    import importlib
+
+    for module, symbol in (
+        ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+        ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
+    ):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        fn = getattr(lib, symbol, None) or getattr(lib, "openblas_set_num_threads", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            fn(count)
+
+
+if _threads:
+    _set_blas_threads(int(_threads))
+del _os, _BLAS_VARS, _threads, _set_blas_threads
 
 __version__ = "0.1.0"
 

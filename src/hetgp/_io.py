@@ -52,6 +52,28 @@ def check_version(doc: dict, what: str, path=None) -> None:
         )
 
 
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+
+
+def member(doc, key: str, kind: type, *, what: str):
+    """``doc[key]``, checked to hold the JSON type ``kind`` (``float`` takes any
+    number); otherwise a :class:`FormatError` naming ``key`` within ``what``."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise FormatError(f"{what} is missing key {key!r}")
+    value = doc[key]
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise FormatError(
+            f"{what} member {key!r} must be {_JSON_NAMES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def fmt_float(v: float) -> str:
     """Shortest exact decimal form, byte-stable across runs."""
     return repr(float(v))

@@ -26,11 +26,11 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._io import FORMAT_VERSION, check_version, dump_json, read_json
+from ._io import FORMAT_VERSION, check_version, dump_json, member, read_json
 from .data import DataSet, TransformPipeline
 from .errors import FormatError, NotPositiveDefiniteError, ShapeError
 from .gpr import GprFitConfig, gpr_fit, gpr_predict
-from .kernels import KernelParams, kernel_matrix, stable_cholesky
+from .kernels import KernelParams, kernel_matrix, sq_dist_contract, stable_cholesky
 from .optim import Adam
 
 LOG2PI = float(np.log(2.0 * np.pi))
@@ -502,24 +502,14 @@ class ElboObjective:
         P2 = Kxz_bar * Kxz
         grad[layout.i_log_sv] += float(np.sum(P1) + np.sum(P2) + sv * np.sum(vbar))
 
-        # lengthscales: contract the adjoints against the per-dimension
-        # squared distances without materializing them
-        Z2 = Z * Z
-        rp1 = P1.sum(axis=1)
-        cp1 = P1.sum(axis=0)
-        PZ1 = P1 @ Z
-        s_zz = Z2.T @ rp1 + Z2.T @ cp1 - 2.0 * np.einsum("ij,ij->j", Z, PZ1)
-        X2 = X * X
-        rp2 = P2.sum(axis=1)
-        cp2 = P2.sum(axis=0)
-        PZ2 = P2 @ Z
-        s_xz = X2.T @ rp2 + Z2.T @ cp2 - 2.0 * np.einsum("ij,ij->j", X, PZ2)
+        s_zz = sq_dist_contract(P1, Z, Z)
+        s_xz = sq_dist_contract(P2, X, Z)
         grad[layout.sl_log_l] += 0.5 * (s_zz + s_xz) / ls
 
         if layout.learn_Z:
             Wsym = P1 + P1.T
             gz = (Wsym @ Z - Z * Wsym.sum(axis=1)[:, None]) / ls[None, :]
-            gz += (P2.T @ X - Z * cp2[:, None]) / ls[None, :]
+            gz += (P2.T @ X - Z * P2.sum(axis=0)[:, None]) / ls[None, :]
             grad[layout.sl_Z] += gz.ravel()
 
     def value_and_grad(self, theta: np.ndarray, batch_idx=None):
@@ -792,10 +782,7 @@ def cgp_predict_samples(model: ChainedGpModel, xstar, num_samples: int, seed) ->
 def _latent_to_dict(l: LatentSparseGp) -> dict:
     tr, tc = np.tril_indices(l.num_inducing)
     return {
-        "kernel": {
-            "lengthscales": l.params.lengthscales.tolist(),
-            "signal_variance": l.params.signal_variance,
-        },
+        "kernel": l.params.to_dict(),
         "mean_const": l.mean_const,
         "Z": l.Z.tolist(),
         "var_mean": l.var_mean.tolist(),
@@ -803,23 +790,21 @@ def _latent_to_dict(l: LatentSparseGp) -> dict:
     }
 
 
-def _latent_from_dict(doc: dict) -> LatentSparseGp:
-    mu = np.asarray(doc["var_mean"], dtype=float)
+def _latent_from_dict(doc: dict, what: str) -> LatentSparseGp:
+    mu = np.asarray(member(doc, "var_mean", list, what=what), dtype=float)
     num = mu.size
-    vals = np.asarray(doc["var_chol_tril"], dtype=float)
+    vals = np.asarray(member(doc, "var_chol_tril", list, what=what), dtype=float)
     if vals.size != num * (num + 1) // 2:
         raise FormatError(
-            f"var_chol_tril has {vals.size} entries, expected {num * (num + 1) // 2}"
+            f"{what} member 'var_chol_tril' has {vals.size} entries, "
+            f"expected {num * (num + 1) // 2}"
         )
     L = np.zeros((num, num))
     L[np.tril_indices(num)] = vals
     return LatentSparseGp(
-        KernelParams(
-            np.asarray(doc["kernel"]["lengthscales"], dtype=float),
-            float(doc["kernel"]["signal_variance"]),
-        ),
-        float(doc["mean_const"]),
-        np.asarray(doc["Z"], dtype=float),
+        KernelParams.from_dict(member(doc, "kernel", dict, what=what), f"{what} kernel"),
+        float(member(doc, "mean_const", float, what=what)),
+        np.asarray(member(doc, "Z", list, what=what), dtype=float),
         mu,
         L,
     )
@@ -842,21 +827,18 @@ def cgp_from_dict(doc: dict, path=None) -> ChainedGpModel:
     check_version(doc, "model", path)
     if doc.get("kind") != "cgp":
         raise FormatError(f"expected a cgp model document, got kind={doc.get('kind')!r}")
-    try:
-        transforms = doc.get("transforms")
-        if transforms is not None:
-            transforms = TransformPipeline.from_dict(transforms)
-        return ChainedGpModel(
-            _latent_from_dict(doc["latent_f"]),
-            _latent_from_dict(doc["latent_g"]),
-            transforms=transforms,
-            feature_names=tuple(doc["feature_names"]),
-            target_name=doc["target_name"],
-            noise_parameterization=doc["noise_parameterization"],
-        )
-    except KeyError as e:
-        where = f"{path}: " if path else ""
-        raise FormatError(f"{where}cgp model document is missing key {e}") from None
+    what = f"{path}: cgp model document" if path else "cgp model document"
+    transforms = doc.get("transforms")
+    if transforms is not None:
+        transforms = TransformPipeline.from_dict(transforms, f"{what} transforms")
+    return ChainedGpModel(
+        _latent_from_dict(member(doc, "latent_f", dict, what=what), f"{what} latent_f"),
+        _latent_from_dict(member(doc, "latent_g", dict, what=what), f"{what} latent_g"),
+        transforms=transforms,
+        feature_names=tuple(member(doc, "feature_names", list, what=what)),
+        target_name=member(doc, "target_name", str, what=what),
+        noise_parameterization=member(doc, "noise_parameterization", str, what=what),
+    )
 
 
 def save_cgp(model: ChainedGpModel, path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,14 +26,14 @@ from ._io import FORMAT_VERSION, atomic_write_text, dump_json, fmt_float, read_j
 from .chained import (
     CgpFitConfig,
     cgp_fit,
+    cgp_from_dict,
     cgp_predict_moments,
     cgp_predict_samples,
-    load_cgp,
     save_cgp,
 )
 from .data import fit_transforms, load_csv, write_csv, zscore_filter
 from .errors import DataError, ExpressionError, FormatError, ShapeError
-from .gpr import GprFitConfig, gpr_fit, gpr_nll, gpr_predict, load_gpr, save_gpr
+from .gpr import GprFitConfig, gpr_fit, gpr_from_dict, gpr_nll, gpr_predict, save_gpr
 from .metrics import (
     EmpiricalDistribution,
     normalized_wasserstein,
@@ -77,17 +78,22 @@ def _emit_error(json_errors: bool, exc: BaseException) -> None:
 def _load_model_any(path):
     """Model file -> ("gpr"|"hgpr", model), dispatching on the kind field."""
     doc = read_json(path)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "gpr":
-        return "gpr", load_gpr(path)
+        return "gpr", gpr_from_dict(doc, path)
     if kind == "cgp":
-        return "hgpr", load_cgp(path)
+        return "hgpr", cgp_from_dict(doc, path)
     raise FormatError(f"{path}: unrecognized model kind {kind!r}")
 
 
 # =========================
 # Slice grammar
 # =========================
+
+# most query rows one slice may expand to, per sweep and over all sweeps;
+# checked before anything is allocated
+MAX_SLICE_QUERIES = 100_000
+
 
 def _parse_slice(text: str):
     """Split 'u=6..22 step 4; Hs=1; default-case' into parts.
@@ -125,15 +131,28 @@ def _parse_slice(text: str):
                 raise DataError(f"non-numeric value in slice sweep {part!r}") from None
             if step <= 0:
                 raise DataError(f"slice sweep step must be positive in {part!r}")
-            count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+            span = np.floor((hi - lo) / step + 1e-9)
+            if not np.isfinite(span):
+                raise DataError(f"slice sweep {part!r} needs finite bounds and step")
+            count = int(span) + 1
             if count < 1:
                 raise DataError(f"slice sweep {part!r} is empty")
+            if count > MAX_SLICE_QUERIES:
+                raise DataError(
+                    f"slice sweep {part!r} has {count} values, more than the "
+                    f"limit of {MAX_SLICE_QUERIES}"
+                )
             sweeps.append((name, lo + step * np.arange(count)))
         else:
             try:
                 fixed[name] = float(rhs)
             except ValueError:
                 raise DataError(f"non-numeric value in slice clause {part!r}") from None
+    total = math.prod(vals.size for _, vals in sweeps)
+    if total > MAX_SLICE_QUERIES:
+        raise DataError(
+            f"slice expands to {total} queries, more than the limit of {MAX_SLICE_QUERIES}"
+        )
     return fixed, sweeps, use_default
 
 

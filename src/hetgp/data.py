@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
-from ._io import fmt_float
+from ._io import fmt_float, member
 from .errors import DataError, ShapeError
 from .expressions import Expression
 
@@ -155,8 +155,12 @@ class TransformRecord:
         return {"kind": self.kind, "shift": self.shift, "scale": self.scale}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TransformRecord":
-        return cls(d["kind"], float(d["shift"]), float(d["scale"]))
+    def from_dict(cls, d: dict, what: str = "transform record") -> "TransformRecord":
+        return cls(
+            member(d, "kind", str, what=what),
+            float(member(d, "shift", float, what=what)),
+            float(member(d, "scale", float, what=what)),
+        )
 
 
 @dataclass(frozen=True)
@@ -188,10 +192,12 @@ class TransformPipeline:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TransformPipeline":
+    def from_dict(cls, d: dict, what: str = "transforms") -> "TransformPipeline":
+        features = member(d, "features", list, what=what)
         return cls(
-            tuple(TransformRecord.from_dict(r) for r in d["features"]),
-            TransformRecord.from_dict(d["target"]),
+            tuple(TransformRecord.from_dict(r, f"{what} feature {j}")
+                  for j, r in enumerate(features)),
+            TransformRecord.from_dict(member(d, "target", dict, what=what), f"{what} target"),
         )
 
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
-from ._io import FORMAT_VERSION, check_version, dump_json, read_json
+from ._io import FORMAT_VERSION, check_version, dump_json, member, read_json
 from .data import TransformPipeline
 from .errors import FormatError, NotPositiveDefiniteError, ShapeError
-from .kernels import KernelParams, kernel_matrix, stable_cholesky
+from .kernels import KernelParams, kernel_matrix, sq_dist_contract, stable_cholesky
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -137,15 +138,16 @@ def nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray):
     nll = float(0.5 * r @ alpha + 0.5 * logdet + 0.5 * n * LOG2PI)
 
     # dNLL/dtheta_k = 1/2 tr((Kinv - alpha alpha^T) dK/dtheta_k)
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv, info = dpotri(L, lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"dpotri failed with info={info}", jitter=0.0)
+    Kinv = np.tril(Kinv)
+    Kinv += np.tril(Kinv, -1).T
     M = Kinv - np.outer(alpha, alpha)
     grad = np.empty(m + 3)
     MK = M * Kk
     # per-dimension squared distances enter as dK/dlog l_j = Kk * D_j/(2 l_j)
-    for j in range(m):
-        xj = X[:, j]
-        Dj = (xj[:, None] - xj[None, :]) ** 2
-        grad[j] = 0.25 / ls[j] * float(np.sum(MK * Dj))
+    grad[:m] = 0.25 / ls * sq_dist_contract(MK, X, X)
     grad[m] = 0.5 * float(np.sum(MK))
     grad[m + 1] = 0.5 * noise * float(np.trace(M))
     grad[m + 2] = -float(np.sum(alpha))
@@ -245,10 +247,7 @@ def gpr_to_dict(model: ExactGprModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "gpr",
-        "kernel": {
-            "lengthscales": model.params.lengthscales.tolist(),
-            "signal_variance": model.params.signal_variance,
-        },
+        "kernel": model.params.to_dict(),
         "noise_variance": model.noise_variance,
         "mean_const": model.mean_const,
         "transforms": None if model.transforms is None else model.transforms.to_dict(),
@@ -263,28 +262,22 @@ def gpr_from_dict(doc: dict, path=None) -> ExactGprModel:
     check_version(doc, "model", path)
     if doc.get("kind") != "gpr":
         raise FormatError(f"expected a gpr model document, got kind={doc.get('kind')!r}")
-    try:
-        params = KernelParams(
-            np.asarray(doc["kernel"]["lengthscales"], dtype=float),
-            float(doc["kernel"]["signal_variance"]),
-        )
-        transforms = doc.get("transforms")
-        if transforms is not None:
-            transforms = TransformPipeline.from_dict(transforms)
-        # factorizations are recomputed, never trusted from disk
-        return ExactGprModel.assemble(
-            np.asarray(doc["train_X"], dtype=float),
-            np.asarray(doc["train_y"], dtype=float),
-            params,
-            float(doc["noise_variance"]),
-            float(doc["mean_const"]),
-            transforms=transforms,
-            feature_names=tuple(doc["feature_names"]),
-            target_name=doc["target_name"],
-        )
-    except KeyError as e:
-        where = f"{path}: " if path else ""
-        raise FormatError(f"{where}gpr model document is missing key {e}") from None
+    what = f"{path}: gpr model document" if path else "gpr model document"
+    params = KernelParams.from_dict(member(doc, "kernel", dict, what=what), f"{what} kernel")
+    transforms = doc.get("transforms")
+    if transforms is not None:
+        transforms = TransformPipeline.from_dict(transforms, f"{what} transforms")
+    # factorizations are recomputed, never trusted from disk
+    return ExactGprModel.assemble(
+        np.asarray(member(doc, "train_X", list, what=what), dtype=float),
+        np.asarray(member(doc, "train_y", list, what=what), dtype=float),
+        params,
+        float(member(doc, "noise_variance", float, what=what)),
+        float(member(doc, "mean_const", float, what=what)),
+        transforms=transforms,
+        feature_names=tuple(member(doc, "feature_names", list, what=what)),
+        target_name=member(doc, "target_name", str, what=what),
+    )
 
 
 def save_gpr(model: ExactGprModel, path) -> None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky
 
+from ._io import member
 from .errors import NotPositiveDefiniteError, ShapeError
 
 # Relative jitter policy: start at 1e-6 of the mean diagonal, escalate
@@ -63,6 +64,19 @@ class KernelParams:
     @property
     def input_dim(self) -> int:
         return self.lengthscales.shape[0]
+
+    def to_dict(self) -> dict:
+        return {
+            "lengthscales": self.lengthscales.tolist(),
+            "signal_variance": self.signal_variance,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict, what: str) -> "KernelParams":
+        return cls(
+            np.asarray(member(doc, "lengthscales", list, what=what), dtype=float),
+            float(member(doc, "signal_variance", float, what=what)),
+        )
 
 
 def kernel_eval(params: KernelParams, x1, x2) -> float:
@@ -108,6 +122,16 @@ def kernel_matrix(params: KernelParams, A, B=None) -> np.ndarray:
         S = sq_a[:, None] + sq_b[None, :] - 2.0 * (Aw @ B.T)
     np.maximum(S, 0.0, out=S)
     return params.signal_variance * np.exp(-0.5 * S)
+
+
+def sq_dist_contract(P, A, B) -> np.ndarray:
+    """``sum_ab P[a, b] * (A[a, j] - B[b, j])**2`` for every column ``j``.
+
+    Contracts a kernel-matrix adjoint against the per-dimension squared
+    distances (the lengthscale gradient) without forming them.
+    """
+    return (A * A).T @ P.sum(axis=1) + (B * B).T @ P.sum(axis=0) \
+        - 2.0 * np.einsum("ij,ij->j", A, P @ B)
 
 
 def stable_cholesky(A, jitter: float = 0.0, return_jitter: bool = False):

@@ -7,7 +7,7 @@ import pytest
 
 import hetgp.chained
 from hetgp import __version__
-from hetgp.cli import _expand_slice, _parse_slice, main
+from hetgp.cli import MAX_SLICE_QUERIES, _expand_slice, _parse_slice, main
 from hetgp.errors import DataError
 from hetgp.synthbench import ReplicationStudy
 
@@ -70,6 +70,17 @@ def test_parse_slice_rejects_malformed_clauses():
         _parse_slice("u=6..22 step -1")
     with pytest.raises(DataError):
         _parse_slice("just-words")
+
+
+@pytest.mark.parametrize("text, counts", [
+    ("x=0..1e9 step 1e-9", ["1000000000000000001 values"]),  # one sweep too long
+    ("x=0..9999 step 1; y=0..9999 step 1", ["100000000 queries"]),  # product too long
+])
+def test_parse_slice_bounds_expansion_before_allocating(text, counts):
+    with pytest.raises(DataError) as info:
+        _parse_slice(text)
+    for count in (*counts, str(MAX_SLICE_QUERIES)):
+        assert count in str(info.value)
 
 
 def test_expand_slice_needs_full_assignment_without_default_case():
@@ -300,6 +311,25 @@ def test_predict_rejects_model_missing_keys(kind, missing, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "missing key" in err and repr(missing) in err
+
+
+@pytest.mark.parametrize("kind, members, named", [
+    ("cgp", {"latent_f": 5, "latent_g": 5}, "latent_f"),
+    ("cgp", {"latent_f": {"var_mean": [0.0], "var_chol_tril": [1.0], "kernel": 5}},
+     "kernel"),
+    ("gpr", {"kernel": 5}, "kernel"),
+    ("gpr", {"kernel": {"lengthscales": [1.0], "signal_variance": [1.0]}},
+     "signal_variance"),
+])
+def test_predict_rejects_model_members_of_wrong_type(kind, members, named, tmp_path,
+                                                     capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"format_version": 1, "kind": kind, **members}))
+    rc = _run("predict", "--model", model, "--at-slice", "x=0.5",
+              "-o", tmp_path / "p.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be" in err and repr(named) in err
 
 
 def test_predict_hgpr_factors_each_kzz_once(pipeline, tmp_path, monkeypatch):

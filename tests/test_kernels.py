@@ -5,7 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from hetgp.errors import NotPositiveDefiniteError, ShapeError
-from hetgp.kernels import KernelParams, kernel_eval, kernel_matrix, stable_cholesky
+from hetgp.kernels import (
+    KernelParams,
+    kernel_eval,
+    kernel_matrix,
+    sq_dist_contract,
+    stable_cholesky,
+)
 
 
 def test_kernel_identity_is_signal_variance():
@@ -128,3 +134,11 @@ def test_stable_cholesky_rejects_non_finite():
     A[0, 1] = np.nan
     with pytest.raises(ValueError):
         stable_cholesky(A, 0.0)
+
+
+def test_sq_dist_contract_matches_per_dimension_loop():
+    rng = np.random.default_rng(3)
+    A, B = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+    P = rng.normal(size=(7, 5))
+    loop = [np.sum(P * (A[:, j, None] - B[None, :, j]) ** 2) for j in range(3)]
+    npt.assert_allclose(sq_dist_contract(P, A, B), loop, rtol=1e-12, atol=1e-12)
