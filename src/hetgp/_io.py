@@ -57,7 +57,8 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a n
 
 def member(doc, key: str, kind: type, *, what: str):
     """``doc[key]``, checked to hold the JSON type ``kind`` (``float`` takes any
-    number); otherwise a :class:`FormatError` naming ``key`` within ``what``."""
+    number, ``object`` any value); otherwise a :class:`FormatError` naming
+    ``key`` within ``what``."""
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be an object, got {type(doc).__name__}")
     if key not in doc:

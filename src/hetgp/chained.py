@@ -268,12 +268,10 @@ def expected_loglik_gaussian(y, a_f, v_f, a_g, v_g):
     return float(out) if out.ndim == 0 else out
 
 
-def _effective_g(a_g, v_g, noise_parameterization: str):
-    # "stddev" reads g as log sigma; N(f, e^{2g}) is the pinned bound with
-    # the g marginals doubled
-    if noise_parameterization == "stddev":
-        return 2.0 * a_g, 4.0 * v_g
-    return a_g, v_g
+def _g_scale(noise_parameterization: str) -> float:
+    """Factor s in log noise variance = s g: 2 when g is the log noise
+    stddev, 1 when g is the log noise variance."""
+    return 2.0 if noise_parameterization == "stddev" else 1.0
 
 
 def elbo(model: ChainedGpModel, d: DataSet, minibatch=None) -> ElboReport:
@@ -298,8 +296,8 @@ def elbo(model: ChainedGpModel, d: DataSet, minibatch=None) -> ElboReport:
 
     a_f, v_f = latent_posterior(model.latent_f, X, warn=False)
     a_g, v_g = latent_posterior(model.latent_g, X, warn=False)
-    a_g, v_g = _effective_g(a_g, v_g, model.noise_parameterization)
-    ell = weight * math.fsum(expected_loglik_gaussian(y, a_f, v_f, a_g, v_g))
+    s = _g_scale(model.noise_parameterization)
+    ell = weight * math.fsum(expected_loglik_gaussian(y, a_f, v_f, s * a_g, s * s * v_g))
 
     kls = []
     for latent in (model.latent_f, model.latent_g):
@@ -526,7 +524,7 @@ class ElboObjective:
             X = X[idx]
             y = y[idx]
         weight = self.n / X.shape[0]
-        s = 2.0 if self.noise_parameterization == "stddev" else 1.0
+        s = _g_scale(self.noise_parameterization)
 
         ff = self._forward(self.layout_f, theta, self.Z_f, X)
         fg = self._forward(self.layout_g, theta, self.Z_g, X)
@@ -612,9 +610,8 @@ def _initial_model(d: DataSet, config: CgpFitConfig, rng) -> ChainedGpModel:
         except (NotPositiveDefiniteError, ValueError):
             coarse = None  # fall back to the cold defaults above
 
-    log_noise = math.log(resid_var)
-    half = 0.5 if config.noise_parameterization == "stddev" else 1.0
-    const_g = half * log_noise
+    s = _g_scale(config.noise_parameterization)
+    const_g = math.log(resid_var) / s
 
     mu_g = np.full(num, const_g)
     if coarse is not None:
@@ -624,7 +621,7 @@ def _initial_model(d: DataSet, config: CgpFitConfig, rng) -> ChainedGpModel:
         resid2 = (y - gpr_predict(coarse, X)[0]) ** 2
         weights = kernel_matrix(KernelParams(params_f.lengthscales, 1.0), Z, X)
         local = (weights @ resid2) / np.maximum(weights.sum(axis=1), 1e-300)
-        mu_g = half * np.log(np.maximum(local, 1e-12))
+        mu_g = np.log(np.maximum(local, 1e-12)) / s
 
     # start each variational covariance at a shrunk copy of its prior,
     # S = INIT_CHOL_SCALE^2 K_ZZ.  Scaling the prior keeps the KL bounded
@@ -747,8 +744,8 @@ def cgp_predict_moments(model: ChainedGpModel, Xstar):
     Xs = np.atleast_2d(np.asarray(Xstar, dtype=float))
     a_f, v_f = latent_posterior(model.latent_f, Xs)
     a_g, v_g = latent_posterior(model.latent_g, Xs)
-    a_g, v_g = _effective_g(a_g, v_g, model.noise_parameterization)
-    return a_f, v_f + np.exp(a_g + 0.5 * v_g)
+    s = _g_scale(model.noise_parameterization)
+    return a_f, v_f + np.exp(s * a_g + 0.5 * s * s * v_g)
 
 
 def cgp_predict_samples(model: ChainedGpModel, xstar, num_samples: int, seed) -> np.ndarray:
@@ -765,10 +762,7 @@ def cgp_predict_samples(model: ChainedGpModel, xstar, num_samples: int, seed) ->
     rng = np.random.default_rng(seed)
     f = a_f[0] + math.sqrt(v_f[0]) * rng.standard_normal(num_samples)
     g = a_g[0] + math.sqrt(v_g[0]) * rng.standard_normal(num_samples)
-    if model.noise_parameterization == "stddev":
-        sd = np.exp(g)
-    else:
-        sd = np.exp(0.5 * g)
+    sd = np.exp(0.5 * _g_scale(model.noise_parameterization) * g)
     y = f + sd * rng.standard_normal(num_samples)
     if model.transforms is not None:
         y = model.transforms.invert_target(y)

@@ -255,79 +255,6 @@ TRAIN_KEYS = (
 )
 
 
-def _train_core(d_raw, model_kind, *, target_positive, zscore, n_train,
-                inducing, seed, max_iters, learning_rate, minibatch,
-                learn_z, noise_param, restarts):
-    """Pipeline + fit shared by ``train`` and ``bench``.
-
-    Returns (model, report detail dict, transformed DataSet).
-    """
-    if model_kind not in ("gpr", "hgpr"):
-        raise ValueError(f"model must be 'gpr' or 'hgpr', got {model_kind!r}")
-    cap = n_train if n_train is not None else d_raw.n
-    if model_kind == "hgpr" and inducing is not None and inducing > cap:
-        raise ValueError(
-            f"--inducing {inducing} exceeds the training size {cap}"
-        )
-
-    if zscore and zscore > 0 and d_raw.n >= 3:
-        kept, removed = zscore_filter(d_raw, zscore)
-    else:
-        kept, removed = d_raw, np.empty(0, dtype=int)
-    if n_train is not None:
-        if n_train < 2:
-            raise ValueError(f"--n-train must be >= 2, got {n_train}")
-        if n_train > kept.n:
-            raise ValueError(
-                f"--n-train {n_train} exceeds the {kept.n} rows available "
-                "after filtering"
-            )
-        kept = kept.take(np.arange(n_train))
-    transformed, _ = fit_transforms(kept, target_positive=target_positive)
-
-    if model_kind == "gpr":
-        cfg = GprFitConfig(
-            restarts=restarts,
-            max_iters=max_iters if max_iters is not None else 150,
-            seed=seed,
-        )
-        model = gpr_fit(transformed, cfg)
-        detail = {
-            "final_nll": gpr_nll(
-                model.params, model.noise_variance, model.mean_const,
-                transformed.features, transformed.target,
-            ),
-            "kernel": {
-                "lengthscales": model.params.lengthscales.tolist(),
-                "signal_variance": model.params.signal_variance,
-            },
-            "noise_variance": model.noise_variance,
-            "mean_const": model.mean_const,
-        }
-    else:
-        num_inducing = inducing if inducing is not None else min(100, transformed.n)
-        cfg = CgpFitConfig(
-            num_inducing=num_inducing,
-            max_iters=max_iters if max_iters is not None else 400,
-            learning_rate=learning_rate,
-            minibatch_size=minibatch,
-            learn_Z=learn_z,
-            seed=seed,
-            noise_parameterization=noise_param,
-        )
-        model, trace = cgp_fit(transformed, cfg)
-        best = max(trace, key=lambda r: r.elbo)
-        detail = {
-            "final_elbo": best.elbo,
-            "final_report": best.to_dict(),
-            "elbo_trace": [r.elbo for r in trace],
-            "num_inducing": num_inducing,
-        }
-    detail["outliers_removed"] = int(removed.size)
-    detail["n_train"] = transformed.n
-    return model, detail, transformed
-
-
 def cmd_train(args) -> int:
     data_path = Path(args.data)
     d_raw = load_csv(data_path, args.target)
@@ -343,22 +270,71 @@ def cmd_train(args) -> int:
     else:
         target_positive = args.target_positive == "true"
 
+    cap = args.n_train if args.n_train is not None else d_raw.n
+    if args.model == "hgpr" and args.inducing is not None and args.inducing > cap:
+        raise ValueError(f"--inducing {args.inducing} exceeds the training size {cap}")
+
     t0 = time.perf_counter()
-    model, detail, _ = _train_core(
-        d_raw, args.model,
-        target_positive=target_positive, zscore=args.zscore,
-        n_train=args.n_train, inducing=args.inducing, seed=args.seed,
-        max_iters=args.max_iters, learning_rate=args.learning_rate,
-        minibatch=args.minibatch, learn_z=args.learn_z,
-        noise_param=args.noise_param, restarts=args.restarts,
-    )
+    if args.zscore and args.zscore > 0 and d_raw.n >= 3:
+        kept, removed = zscore_filter(d_raw, args.zscore)
+    else:
+        kept, removed = d_raw, np.empty(0, dtype=int)
+    if args.n_train is not None:
+        if args.n_train < 2:
+            raise ValueError(f"--n-train must be >= 2, got {args.n_train}")
+        if args.n_train > kept.n:
+            raise ValueError(
+                f"--n-train {args.n_train} exceeds the {kept.n} rows available "
+                "after filtering"
+            )
+        kept = kept.take(np.arange(args.n_train))
+    transformed, _ = fit_transforms(kept, target_positive=target_positive)
+
+    if args.model == "gpr":
+        cfg = GprFitConfig(
+            restarts=args.restarts,
+            max_iters=args.max_iters if args.max_iters is not None else 150,
+            seed=args.seed,
+        )
+        model = gpr_fit(transformed, cfg)
+        save = save_gpr
+        detail = {
+            "final_nll": gpr_nll(
+                model.params, model.noise_variance, model.mean_const,
+                transformed.features, transformed.target,
+            ),
+            "kernel": {
+                "lengthscales": model.params.lengthscales.tolist(),
+                "signal_variance": model.params.signal_variance,
+            },
+            "noise_variance": model.noise_variance,
+            "mean_const": model.mean_const,
+            "jitter": model.jitter,
+        }
+    else:
+        num_inducing = args.inducing if args.inducing is not None else min(100, transformed.n)
+        cfg = CgpFitConfig(
+            num_inducing=num_inducing,
+            max_iters=args.max_iters if args.max_iters is not None else 400,
+            learning_rate=args.learning_rate,
+            minibatch_size=args.minibatch,
+            learn_Z=args.learn_z,
+            seed=args.seed,
+            noise_parameterization=args.noise_param,
+        )
+        model, trace = cgp_fit(transformed, cfg)
+        save = save_cgp
+        best = max(trace, key=lambda r: r.elbo)
+        detail = {
+            "final_elbo": best.elbo,
+            "final_report": best.to_dict(),
+            "elbo_trace": [r.elbo for r in trace],
+            "num_inducing": num_inducing,
+        }
     wall = time.perf_counter() - t0
 
     out = Path(args.out)
-    if args.model == "gpr":
-        save_gpr(model, out)
-    else:
-        save_cgp(model, out)
+    save(model, out)
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
     report = {
         "format_version": FORMAT_VERSION,
@@ -371,10 +347,12 @@ def cmd_train(args) -> int:
         "wall_time_s": wall,
         "config": _config_echo(args, TRAIN_KEYS),
         **detail,
+        "outliers_removed": int(removed.size),
+        "n_train": transformed.n,
     }
     dump_json(report, report_path)
     headline = detail.get("final_elbo", detail.get("final_nll"))
-    print(f"trained {args.model} on {detail['n_train']} rows "
+    print(f"trained {args.model} on {transformed.n} rows "
           f"(objective {headline:.4f}) -> {out}")
     return 0
 
@@ -548,16 +526,27 @@ def _read_predictions(path, feature_names):
         if header != expected:
             raise FormatError(f"{path}: header {header} != expected {expected}")
         m = len(feature_names)
-        for raw in reader:
+        for row, raw in enumerate(reader, start=1):
             if not raw:
                 continue
-            qi = int(raw[0])
+            if len(raw) != len(expected):
+                raise DataError(
+                    f"{path}: row {row} has {len(raw)} fields, expected {len(expected)}",
+                    row=row,
+                )
+            try:
+                qi = int(raw[0])
+                features = np.asarray([float(v) for v in raw[1:1 + m]])
+                value = float(raw[2 + m])
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {row} has a non-integer query_index or a "
+                    "non-numeric feature or value", row=row,
+                ) from None
             entry = per_query.setdefault(
-                qi,
-                {"features": np.asarray([float(v) for v in raw[1:1 + m]]),
-                 "mean": None, "variance": None, "samples": []},
+                qi, {"features": features, "mean": None, "variance": None, "samples": []},
             )
-            stat, value = raw[1 + m], float(raw[2 + m])
+            stat = raw[1 + m]
             if stat == "sample":
                 entry["samples"].append(value)
             elif stat in ("mean", "variance"):
@@ -704,58 +693,49 @@ BENCH_KEYS = ("scenario", "n", "inducing", "replications", "samples", "seed", "o
 
 
 def cmd_bench(args) -> int:
+    """Run sample, train gpr and hgpr, sample --replicate, predict for each
+    model and evaluate, as the commands themselves, into ``--outdir``."""
     scenario = load_scenario(args.scenario)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    o = Path(args.outdir).absolute()  # absolute, so no path reads as a flag
+    o.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-
-    d_raw = generate_dataset(scenario, args.n, "sobol", args.seed)
-    write_csv(d_raw, outdir / "data.csv")
-
-    timings = {}
-    models = {}
-    for kind in ("gpr", "hgpr"):
-        t0 = time.perf_counter()
-        model, detail, _ = _train_core(
-            d_raw, kind,
-            target_positive=scenario.target_positive, zscore=3.0, n_train=None,
-            inducing=args.inducing, seed=args.seed, max_iters=None,
-            learning_rate=1e-2, minibatch=None, learn_z=False,
-            noise_param="variance", restarts=3,
-        )
-        timings[f"train_{kind}_s"] = time.perf_counter() - t0
-        models[kind] = model
-        if kind == "gpr":
-            save_gpr(model, outdir / "gpr.json")
-        else:
-            save_cgp(model, outdir / "hgpr.json")
 
     # sweep the first feature across the central part of its box, fill the
     # rest from the scenario's default case
     first = scenario.feature_specs[0]
     lo, hi = first.bounds_at({})
-    sweep = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
-    conditions = np.asarray([
-        [scenario.resolve_default_case({first.name: u})[n] for n in scenario.feature_names]
-        for u in sweep
-    ])
-    study = replication_reference(
-        scenario, conditions, args.replications, derive_seed(args.seed, 101)
-    )
-    study.save(outdir / "reference.json")
+    a, b = lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)
+    sweep = (f"{first.name}={fmt_float(a)}..{fmt_float(b)} "
+             f"step {fmt_float((b - a) / 4)}; default-case")
+    # "--scenario=" keeps a scenario path that starts with "-" a value
+    scen, seed = f"--scenario={args.scenario}", ("--seed", args.seed)
+    steps = {
+        "sample": ["sample", scen, "--n", args.n, *seed, "-o", o / "data.csv"],
+        "train_gpr": ["train", "--model", "gpr", "--data", o / "data.csv", *seed,
+                      "-o", o / "gpr.json"],
+        "train_hgpr": ["train", "--model", "hgpr", "--data", o / "data.csv",
+                       "--inducing", args.inducing, *seed, "-o", o / "hgpr.json"],
+        "reference": ["sample", scen, "--replicate", args.replications, "--at-slice", sweep,
+                      "--seed", derive_seed(args.seed, 101), "-o", o / "reference.json"],
+        "predict_gpr": ["predict", "--model", o / "gpr.json", scen, "--at-slice", sweep,
+                        "--samples", args.samples, *seed, "-o", o / "p_gpr.csv"],
+        "predict_hgpr": ["predict", "--model", o / "hgpr.json", scen, "--at-slice", sweep,
+                         "--samples", args.samples, *seed, "-o", o / "p_hgpr.csv"],
+        "evaluate": ["evaluate", "--reference", o / "reference.json", "--predictions",
+                     o / "p_gpr.csv", o / "p_hgpr.csv", "--labels", "gpr", "hgpr",
+                     "-o", o / "evaluation.json"],
+    }
+    parser = build_parser()
+    timings = {}
+    for name, argv in steps.items():
+        step = parser.parse_args([str(v) for v in argv])
+        t0 = time.perf_counter()
+        rc = step.func(step)
+        timings[f"{name}_s"] = time.perf_counter() - t0
+        if rc:
+            return rc
 
-    labeled = []
-    for kind in ("gpr", "hgpr"):
-        stats = [
-            _predict_one(kind, models[kind], conditions[ci], args.samples,
-                         derive_seed(args.seed, 200 + ci))
-            for ci in range(conditions.shape[0])
-        ]
-        for ci, st in enumerate(stats):
-            st["features"] = conditions[ci]
-        labeled.append((kind, stats))
-    per_condition, summary = _evaluate_core(study, labeled)
-
+    ev = read_json(o / "evaluation.json")
     report = {
         "format_version": FORMAT_VERSION,
         "kind": "bench_report",
@@ -764,16 +744,14 @@ def cmd_bench(args) -> int:
         "inducing": args.inducing,
         "replications": args.replications,
         "samples": args.samples,
-        "per_condition": per_condition,
-        "summary": summary,
+        "per_condition": ev["per_condition"],
+        "summary": ev["summary"],
         "timings_s": timings,
         "wall_time_s": time.perf_counter() - t_start,
         "config": _config_echo(args, BENCH_KEYS),
     }
-    dump_json(report, outdir / "bench.json")
-    for kind in ("gpr", "hgpr"):
-        print(f"{scenario.id} {kind}: mean d_W1 = {summary[kind]['mean_d_w1']:.4f}")
-    print(f"bench artifacts in {outdir} ({report['wall_time_s']:.1f} s)")
+    dump_json(report, o / "bench.json")
+    print(f"bench artifacts in {o} ({report['wall_time_s']:.1f} s)")
     return 0
 
 

@@ -255,12 +255,6 @@ class DataSet:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.feature_specs)
 
-    @property
-    def target_transform(self) -> str:
-        if self.pipeline is not None and self.pipeline.target.takes_log:
-            return "log"
-        return "identity"
-
     def take(self, idx) -> "DataSet":
         """Row subset, keeping specs and pipeline."""
         idx = np.asarray(idx)

@@ -47,32 +47,16 @@ class EmpiricalDistribution:
 def wasserstein1(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Exact W1 between two empirical distributions.
 
-    Equal sample counts reduce to the mean absolute difference of the
-    sorted samples; unequal counts walk the merged quantile breakpoints
-    with integer arithmetic so segment widths are exact.
+    On the merged quantile breakpoints, in integer units of 1/(n*k), the
+    segment ending at ``end`` pairs sample (end-1)//k of p with sample
+    (end-1)//n of q.
     """
     x, y = p.samples, q.samples
-    if x.size == y.size:
-        return float(math.fsum(np.abs(x - y)) / x.size)
-    return _merge_quantile_w1(x, y)
-
-
-def _merge_quantile_w1(x: np.ndarray, y: np.ndarray) -> float:
-    # Segment (u_prev, u_next] has width (next - prev) in units of 1/(n*k);
-    # breakpoints of p sit at multiples of k, of q at multiples of n.
     n, k = x.size, y.size
-    terms = []
-    i = j = 0
-    pos = 0
-    while i < n and j < k:
-        nxt = min((i + 1) * k, (j + 1) * n)
-        terms.append((nxt - pos) * abs(x[i] - y[j]))
-        if nxt == (i + 1) * k:
-            i += 1
-        if nxt == (j + 1) * n:
-            j += 1
-        pos = nxt
-    return float(math.fsum(terms) / (n * k))
+    ends = np.union1d(np.arange(1, n + 1) * k, np.arange(1, k + 1) * n)
+    widths = np.diff(ends, prepend=0)
+    return float(math.fsum(widths * np.abs(x[(ends - 1) // k] - y[(ends - 1) // n]))
+                 / (n * k))
 
 
 def normalized_wasserstein(p_reference: EmpiricalDistribution, q: EmpiricalDistribution) -> float:

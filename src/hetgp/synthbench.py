@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._io import FORMAT_VERSION, check_version, dump_json, read_json
+from ._io import FORMAT_VERSION, check_version, dump_json, member, read_json
 from .data import DataSet, FeatureSpec, feature_specs_from_json, map_unit_points, sobol_design
 from .errors import DataError, ExpressionError, FormatError, ShapeError
 from .expressions import Expression
@@ -138,16 +138,19 @@ class SyntheticScenario:
     @classmethod
     def from_dict(cls, doc: dict, path=None) -> "SyntheticScenario":
         check_version(doc, "scenario", path)
+        what = f"{path}: scenario document" if path else "scenario document"
         default_case = None
         if doc.get("default_case") is not None:
             default_case = {
-                k: Expression.parse(v) for k, v in doc["default_case"].items()
+                k: Expression.parse(v)
+                for k, v in member(doc, "default_case", dict, what=what).items()
             }
         return cls(
-            id=str(doc["id"]),
-            mean_fn=Expression.parse(doc["mean_fn_expr"]),
-            log_var_fn=Expression.parse(doc["log_var_fn_expr"]),
-            feature_specs=feature_specs_from_json(doc["feature_specs"]),
+            id=member(doc, "id", str, what=what),
+            mean_fn=Expression.parse(member(doc, "mean_fn_expr", object, what=what)),
+            log_var_fn=Expression.parse(member(doc, "log_var_fn_expr", object, what=what)),
+            feature_specs=feature_specs_from_json(member(doc, "feature_specs", list,
+                                                         what=what)),
             target_positive=bool(doc.get("target_positive", False)),
             default_case=default_case,
         )
@@ -278,14 +281,21 @@ class ReplicationStudy:
             raise FormatError(
                 f"expected a replication document, got kind={doc.get('kind')!r}"
             )
+        what = f"{path}: replication document" if path else "replication document"
         names = doc.get("feature_names")
+        if names is not None:
+            names = tuple(member(doc, "feature_names", list, what=what))
+        samples = member(doc, "samples", list, what=what)
+        for i, s in enumerate(samples):
+            if not isinstance(s, list):
+                raise FormatError(f"{what} member 'samples' entry {i} must be an array")
         return cls(
-            conditions=np.asarray(doc["conditions"], dtype=float),
-            replications=int(doc["replications"]),
+            conditions=np.asarray(member(doc, "conditions", list, what=what), dtype=float),
+            replications=int(member(doc, "replications", float, what=what)),
             distributions=tuple(
-                EmpiricalDistribution(np.asarray(s, dtype=float)) for s in doc["samples"]
+                EmpiricalDistribution(np.asarray(s, dtype=float)) for s in samples
             ),
-            feature_names=None if names is None else tuple(names),
+            feature_names=names,
             scenario_id=doc.get("scenario_id"),
         )
 

@@ -7,7 +7,8 @@ variance with a vanishing kernel, so the bound should sit just below the
 exact log marginal likelihood.
 
 The Gauss-Hermite quadrature of the expected log-likelihood is an
-independent cross-check for the closed form used during training.
+independent cross-check for the closed form used during training, and the
+merge walk over quantile breakpoints one for the vectorized W1.
 """
 
 import math
@@ -63,3 +64,23 @@ def expected_loglik_gh(
         - 0.5 * np.exp(-g)[None, :] * (y - f[:, None]) ** 2
     )
     return float(w @ ll @ w / math.pi)
+
+
+def merge_quantile_w1(x, y):
+    """W1 of two sorted sample vectors by walking the merged breakpoints.
+
+    Segment (pos, nxt] has width nxt - pos in units of 1/(n*k); the
+    breakpoints of x sit at multiples of k, those of y at multiples of n.
+    """
+    n, k = len(x), len(y)
+    terms = []
+    i = j = pos = 0
+    while i < n and j < k:
+        nxt = min((i + 1) * k, (j + 1) * n)
+        terms.append((nxt - pos) * abs(x[i] - y[j]))
+        if nxt == (i + 1) * k:
+            i += 1
+        if nxt == (j + 1) * n:
+            j += 1
+        pos = nxt
+    return math.fsum(terms) / (n * k)

@@ -275,6 +275,23 @@ def test_objective_value_matches_public_elbo():
     assert rep.kl_g == pytest.approx(pub.kl_g, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("noise_parameterization", ("variance", "stddev"))
+def test_objective_minibatch_matches_public_elbo(noise_parameterization):
+    # the minibatch bound ``train --minibatch`` climbs, against the oracle
+    model, d = _random_model(8, noise_parameterization=noise_parameterization)
+    obj = ElboObjective(model, d)
+    theta = obj.pack(model)
+    theta += 0.05 * np.random.default_rng(8).standard_normal(theta.size)
+    batch = np.array([3, 0, 17, 9, 21, 4, 9])
+    rep, _ = obj.value_and_grad(theta, batch)
+    pub = elbo(obj.unpack(theta), d, minibatch=batch)
+    npt.assert_allclose(
+        [rep.elbo, rep.expected_loglik_sum, rep.kl_f, rep.kl_g],
+        [pub.elbo, pub.expected_loglik_sum, pub.kl_f, pub.kl_g],
+        rtol=1e-9,
+    )
+
+
 def test_objective_pack_unpack_round_trip():
     model, d = _random_model(9)
     obj = ElboObjective(model, d)

@@ -9,7 +9,7 @@ import hetgp.chained
 from hetgp import __version__
 from hetgp.cli import MAX_SLICE_QUERIES, _expand_slice, _parse_slice, main
 from hetgp.errors import DataError
-from hetgp.synthbench import ReplicationStudy
+from hetgp.synthbench import ReplicationStudy, load_scenario
 
 S1_SWEEP = "x=0.1..0.9 step 0.2"
 
@@ -212,6 +212,7 @@ def test_train_gpr_report_carries_final_nll(pipeline):
     assert np.isfinite(report["final_nll"])
     assert report["kernel"]["signal_variance"] > 0
     assert report["noise_variance"] > 0
+    assert report["jitter"] >= 0
 
 
 def test_train_rejects_inducing_above_training_size(pipeline, tmp_path, capsys):
@@ -446,6 +447,50 @@ def test_evaluate_rejects_empty_predictions_file(pipeline, tmp_path, capsys):
     assert "file is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [
+    "0,0.5",                 # short row
+    "0.5,0.5,sample,1.0",    # non-integer query_index
+])
+def test_evaluate_rejects_malformed_prediction_rows(pipeline, tmp_path, capsys, row):
+    pred = tmp_path / "p.csv"
+    pred.write_text(f"query_index,x,statistic,value\n0,0.5,mean,0.0\n{row}\n")
+    rc = _run("evaluate", "--reference", pipeline / "ref.json",
+              "--predictions", pred, "-o", tmp_path / "eval.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(pred) in err and "row 2" in err
+
+
+@pytest.mark.parametrize("document, key, value", [
+    ("replication", "samples", 5),
+    ("replication", "samples", [5]),
+    ("replication", "feature_names", 5),
+    ("replication", "conditions", None),
+    ("scenario", "id", None),
+    ("scenario", "default_case", 5),
+])
+def test_malformed_reference_and_scenario_documents_exit_2(
+        pipeline, tmp_path, capsys, document, key, value):
+    if document == "replication":
+        doc = json.loads((pipeline / "ref.json").read_text())
+    else:
+        doc = load_scenario("S1").to_dict()
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / f"{document}.json"
+    path.write_text(json.dumps(doc))
+    if document == "replication":
+        rc = _run("evaluate", "--reference", path, "--predictions",
+                  pipeline / "p_gpr.csv", "-o", tmp_path / "eval.json")
+    else:
+        rc = _run("sample", "--scenario", path, "--n", 5, "-o", tmp_path / "d.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(path) in err
+
+
 def test_evaluate_rejects_sampleless_predictions(pipeline, tmp_path, capsys):
     out = tmp_path / "p.csv"
     assert _run("predict", "--model", pipeline / "gpr.json",
@@ -454,6 +499,37 @@ def test_evaluate_rejects_sampleless_predictions(pipeline, tmp_path, capsys):
               "--predictions", out, "-o", tmp_path / "eval.json")
     assert rc == 2
     assert "no sample rows" in capsys.readouterr().err
+
+
+# ---- bench ----
+
+
+def test_bench_runs_the_commands_and_keeps_their_bytes(tmp_path):
+    out = tmp_path / "bench"
+    assert _run("bench", "--scenario", "S1", "--n", 60, "--inducing", 10,
+                "--replications", 20, "--samples", 50, "--outdir", out) == 0
+    report = json.loads((out / "bench.json").read_text())
+    assert list(report) == [
+        "format_version", "kind", "scenario", "n", "inducing", "replications",
+        "samples", "per_condition", "summary", "timings_s", "wall_time_s", "config",
+    ]
+    assert list(report["timings_s"]) == [
+        "sample_s", "train_gpr_s", "train_hgpr_s", "reference_s",
+        "predict_gpr_s", "predict_hgpr_s", "evaluate_s",
+    ]
+    assert sorted(report["summary"]) == ["gpr", "hgpr"]
+    assert len(report["per_condition"]) == 5
+
+    solo = tmp_path / "solo"
+    solo.mkdir()
+    data = solo / "data.csv"
+    assert _run("sample", "--scenario", "S1", "--n", 60, "--seed", 0, "-o", data) == 0
+    assert _run("train", "--model", "gpr", "--data", data, "--seed", 0,
+                "-o", solo / "gpr.json") == 0
+    assert _run("train", "--model", "hgpr", "--data", data, "--inducing", 10,
+                "--seed", 0, "-o", solo / "hgpr.json") == 0
+    for name in ("data.csv", "gpr.json", "hgpr.json"):
+        assert (out / name).read_bytes() == (solo / name).read_bytes(), name
 
 
 def test_end_to_end_heteroscedastic_beats_homoscedastic_where_noisy(pipeline):

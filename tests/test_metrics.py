@@ -6,11 +6,11 @@ from scipy.stats import wasserstein_distance
 from hetgp.errors import ShapeError
 from hetgp.metrics import (
     EmpiricalDistribution,
-    _merge_quantile_w1,
     normalized_wasserstein,
     point_metrics,
     wasserstein1,
 )
+from support import merge_quantile_w1
 
 
 def _dist(values):
@@ -43,14 +43,18 @@ def test_w1_matches_scipy_unequal_counts():
         npt.assert_allclose(wasserstein1(_dist(x), _dist(y)), want, rtol=1e-10)
 
 
-def test_w1_equal_count_paths_agree():
+def test_w1_matches_merge_walk_reference():
+    # same terms, each rounded once, and fsum: unequal counts agree bit for
+    # bit; equal counts scale every term by n, within an ulp
     rng = np.random.default_rng(29)
-    for _ in range(20):
-        x = np.sort(rng.normal(size=50))
-        y = np.sort(rng.normal(loc=0.3, size=50))
-        fast = wasserstein1(_dist(x), _dist(y))
-        merged = _merge_quantile_w1(x, y)
-        npt.assert_allclose(fast, merged, rtol=0, atol=1e-12)
+    for n, k in ((1, 1), (1, 9), (7, 3), (50, 50), (100, 33), (64, 500)):
+        x = np.sort(rng.normal(size=n))
+        y = np.sort(rng.normal(loc=0.3, size=k))
+        got = wasserstein1(_dist(x), _dist(y))
+        if n == k:
+            npt.assert_allclose(got, merge_quantile_w1(x, y), rtol=2 * np.finfo(float).eps)
+        else:
+            assert got == merge_quantile_w1(x, y)
 
 
 def test_w1_symmetry_and_triangle_inequality():
