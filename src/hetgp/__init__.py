@@ -34,13 +34,12 @@ from .errors import (
     ShapeError,
 )
 from .expressions import Expression
-from .kernels import KernelParams, kernel_eval, kernel_matrix, stable_cholesky
+from .kernels import KernelParams, kernel_matrix, stable_cholesky
 from .data import (
     DataSet,
     FeatureSpec,
     TransformPipeline,
     TransformRecord,
-    apply_transforms,
     feature_specs_from_json,
     fit_transforms,
     load_csv,
@@ -153,7 +152,6 @@ __all__ = [
     "SyntheticScenario",
     "TransformPipeline",
     "TransformRecord",
-    "apply_transforms",
     "cgp_fit",
     "cgp_from_dict",
     "cgp_predict_moments",
@@ -171,7 +169,6 @@ __all__ = [
     "gpr_nll",
     "gpr_predict",
     "gpr_to_dict",
-    "kernel_eval",
     "kernel_matrix",
     "latent_posterior",
     "load_cgp",

@@ -1,13 +1,15 @@
-"""Atomic file writes and JSON helpers shared by serialization code."""
+"""Atomic file writes, the CSV table reader and JSON helpers for serialization."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import os
 import tempfile
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 FORMAT_VERSION = 1
 
@@ -26,6 +28,23 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+@contextlib.contextmanager
+def read_table(path):
+    """Yield a UTF-8 CSV's stripped header and a lazy iterator of
+    ``(1-based data row, cells)`` over its non-blank rows; a missing or
+    empty file is a :class:`DataError`."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        yield header, ((row, cells) for row, cells in enumerate(reader, start=1) if cells)
 
 
 def dump_json(obj, path) -> None:

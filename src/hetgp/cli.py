@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import FORMAT_VERSION, atomic_write_text, dump_json, fmt_float, read_json
+from ._io import (
+    FORMAT_VERSION, atomic_write_text, check_version, dump_json, fmt_float, read_json, read_table,
+)
 from .chained import (
     CgpFitConfig,
     cgp_fit,
@@ -61,6 +63,23 @@ USAGE_ERRORS = (
 
 def _meta_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
+
+
+def _read_sidecar(path):
+    """The ``.meta.json`` sidecar of ``path``, version-checked; None if absent."""
+    meta_p = _meta_path(path)
+    if not meta_p.exists():
+        return None
+    doc = read_json(meta_p)
+    check_version(doc, "sidecar", meta_p)
+    return doc
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _config_echo(args, keys) -> dict:
@@ -258,15 +277,9 @@ TRAIN_KEYS = (
 def cmd_train(args) -> int:
     data_path = Path(args.data)
     d_raw = load_csv(data_path, args.target)
-
-    scenario_id = None
+    meta = _read_sidecar(data_path) or {}
     if args.target_positive == "auto":
-        target_positive = False
-        meta_p = _meta_path(data_path)
-        if meta_p.exists():
-            meta = read_json(meta_p)
-            scenario_id = meta.get("scenario")
-            target_positive = bool(meta.get("target_positive", False))
+        target_positive = bool(meta.get("target_positive", False))
     else:
         target_positive = args.target_positive == "true"
 
@@ -341,7 +354,7 @@ def cmd_train(args) -> int:
         "kind": "train_report",
         "model_kind": args.model,
         "data": str(data_path),
-        "scenario": scenario_id,
+        "scenario": meta.get("scenario"),
         "rows_loaded": d_raw.n,
         "target_positive": target_positive,
         "wall_time_s": wall,
@@ -411,43 +424,23 @@ def _predict_one(kind, model, x_raw, num_samples, qseed):
 def _write_predictions_csv(path, feature_names, queries, stats) -> None:
     lines = [",".join(["query_index", *feature_names, "statistic", "value"])]
     for qi, st in enumerate(stats):
-        feats = [fmt_float(v) for v in queries[qi]]
-        for name, value in (("mean", st["mean"]), ("variance", st["variance"])):
-            lines.append(",".join([str(qi), *feats, name, fmt_float(value)]))
-        for value in st["samples"]:
-            lines.append(",".join([str(qi), *feats, "sample", fmt_float(value)]))
+        prefix = ",".join([str(qi), *map(fmt_float, queries[qi])])
+        lines.append(f"{prefix},mean,{fmt_float(st['mean'])}")
+        lines.append(f"{prefix},variance,{fmt_float(st['variance'])}")
+        lines.extend(f"{prefix},sample,{v!r}" for v in st["samples"].tolist())  # = fmt_float
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_query_csv(path, feature_names) -> np.ndarray:
     """Feature columns (by name) from a CSV; extra columns are ignored."""
-    import csv as _csv
-
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    meta_p = _meta_path(path)
-    if meta_p.exists():
-        meta = read_json(meta_p)
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise FormatError(
-                f"{meta_p}: format_version {meta.get('format_version')!r} does "
-                f"not match this build ({FORMAT_VERSION})"
-            )
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
+    with read_table(path) as (header, table_rows):
+        _read_sidecar(path)
         missing = [n for n in feature_names if n not in header]
         if missing:
             raise DataError(f"{path}: missing feature columns {missing}")
         cols = [header.index(n) for n in feature_names]
         rows = []
-        for data_row, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
+        for data_row, raw in table_rows:
             try:
                 rows.append([float(raw[c]) for c in cols])
             except (ValueError, IndexError):
@@ -509,58 +502,59 @@ EVALUATE_KEYS = ("reference", "predictions", "labels")
 
 
 def _read_predictions(path, feature_names):
-    """Predictions CSV back into per-query stat dicts (in query order)."""
-    import csv as _csv
+    """Predictions CSV back into per-query stat dicts (in query order).
 
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    per_query: dict[int, dict] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        expected = ["query_index", *feature_names, "statistic", "value"]
+    A query's entry is made on its first row, whose feature cells every
+    later row of it must repeat; its cells are converted in one call.
+    """
+    expected = ["query_index", *feature_names, "statistic", "value"]
+    m = len(feature_names)
+    queries: dict[int, tuple] = {}  # qi -> (feature cells, {statistic: value cells})
+    with read_table(path) as (header, table_rows):
         if header != expected:
             raise FormatError(f"{path}: header {header} != expected {expected}")
-        m = len(feature_names)
-        for row, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
+        for row, raw in table_rows:
             if len(raw) != len(expected):
-                raise DataError(
-                    f"{path}: row {row} has {len(raw)} fields, expected {len(expected)}",
-                    row=row,
-                )
+                raise DataError(f"{path}: row {row} has {len(raw)} fields, expected "
+                                f"{len(expected)}", row=row)
             try:
                 qi = int(raw[0])
-                features = np.asarray([float(v) for v in raw[1:1 + m]])
-                value = float(raw[2 + m])
             except ValueError:
-                raise DataError(
-                    f"{path}: row {row} has a non-integer query_index or a "
-                    "non-numeric feature or value", row=row,
-                ) from None
-            entry = per_query.setdefault(
-                qi, {"features": features, "mean": None, "variance": None, "samples": []},
-            )
-            stat = raw[1 + m]
-            if stat == "sample":
-                entry["samples"].append(value)
-            elif stat in ("mean", "variance"):
-                entry[stat] = value
-            else:
-                raise FormatError(f"{path}: unknown statistic {stat!r}")
+                raise DataError(f"{path}: row {row} has a non-integer query_index",
+                                row=row) from None
+            if qi not in queries:
+                queries[qi] = (raw[1:1 + m], {"mean": [], "variance": [], "sample": []})
+            features, values = queries[qi]
+            if raw[1:1 + m] != features:
+                raise DataError(f"{path}: row {row} has features {raw[1:1 + m]}, but query "
+                                f"{qi} began with {features}", row=row)
+            if raw[1 + m] not in values:
+                raise FormatError(f"{path}: row {row} has unknown statistic {raw[1 + m]!r}")
+            values[raw[1 + m]].append(raw[2 + m])
     out = []
-    for qi in sorted(per_query):
-        entry = per_query[qi]
-        entry["samples"] = np.asarray(entry["samples"])
-        if entry["mean"] is None or entry["variance"] is None:
-            raise FormatError(f"{path}: query {qi} is missing mean/variance rows")
-        out.append(entry)
+    for qi in sorted(queries):
+        features, values = queries[qi]
+        try:
+            v = np.array(features + values["mean"] + values["variance"] + values["sample"],
+                         dtype=float)
+        except ValueError:
+            row = _first_non_numeric_row(path, m)
+            raise DataError(f"{path}: row {row} has a non-numeric feature or value",
+                            row=row) from None
+        if len(values["mean"]) != 1 or len(values["variance"]) != 1:
+            raise FormatError(f"{path}: query {qi} needs one mean row and one variance row")
+        out.append({"features": v[:m], "mean": float(v[m]), "variance": float(v[m + 1]),
+                    "samples": v[m + 2:]})
     return out
+
+
+def _first_non_numeric_row(path, m):
+    with read_table(path) as (_, table_rows):
+        for row, raw in table_rows:
+            try:
+                np.array(raw[1:1 + m] + raw[2 + m:], dtype=float)
+            except ValueError:
+                return row
 
 
 def _match_condition(condition, stats, label):
@@ -647,13 +641,8 @@ def cmd_evaluate(args) -> int:
     labeled = []
     used = set()
     for i, ppath in enumerate(args.predictions):
-        if args.labels:
-            label = args.labels[i]
-        else:
-            meta_p = _meta_path(Path(ppath))
-            label = f"model{i}"
-            if meta_p.exists():
-                label = read_json(meta_p).get("model_kind", label)
+        meta = _read_sidecar(ppath) or {}
+        label = args.labels[i] if args.labels else meta.get("model_kind", f"model{i}")
         while label in used:
             label += "+"
         used.add(label)
@@ -776,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"scenario id {shipped_scenario_ids()} or a JSON path")
     p.add_argument("--n", type=int, help="number of design points")
     p.add_argument("--design", choices=("sobol", "pseudorandom"), default="sobol")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed")
     p.add_argument("--replicate", type=int, metavar="R",
                    help="write R repeated draws per --at-slice condition instead")
     p.add_argument("--at-slice", help="conditions for --replicate, e.g. "
@@ -795,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target outlier threshold in std devs (0 disables)")
     p.add_argument("--n-train", type=int, help="cap on training rows (after filtering)")
     p.add_argument("--inducing", type=int, help="inducing points for hgpr")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iters", type=int, help="optimizer iterations")
     p.add_argument("--learning-rate", type=float, default=1e-2)
     p.add_argument("--minibatch", type=int, help="minibatch size (default full batch)")
@@ -814,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario id/path (needed for default-case slices)")
     p.add_argument("--samples", type=int,
                    help="predictive draws per query (default: 5000 for hgpr, 0 for gpr)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", required=True, help="predictions CSV path")
     p.set_defaults(func=cmd_predict)
 
@@ -833,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inducing", type=int, default=50)
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--outdir", default="bench_out")
     p.set_defaults(func=cmd_bench)
 

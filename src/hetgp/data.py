@@ -9,7 +9,6 @@ every step travel with the trained models.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
-from ._io import fmt_float, member
+from ._io import atomic_write_text, fmt_float, member, read_table
 from .errors import DataError, ShapeError
 from .expressions import Expression
 
@@ -277,24 +276,12 @@ def load_csv(path, target_column: str) -> DataSet:
     row (header excluded) in the error.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
+    with read_table(path) as (header, table_rows):
         if target_column not in header:
-            raise DataError(
-                f"{path}: no column named {target_column!r} (header: {header})"
-            )
+            raise DataError(f"{path}: no column named {target_column!r} (header: {header})")
         t_col = header.index(target_column)
         rows = []
-        for file_row, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
+        for file_row, raw in table_rows:
             if len(raw) != len(header):
                 raise DataError(
                     f"{path}: row {file_row} has {len(raw)} cells, expected {len(header)}",
@@ -302,16 +289,12 @@ def load_csv(path, target_column: str) -> DataSet:
                 )
             try:
                 vals = [float(c) for c in raw]
-            except ValueError:
-                bad = next(c for c in raw if not _parses_float(c))
+            except ValueError as e:
                 raise DataError(
-                    f"{path}: row {file_row} has unparseable cell {bad!r}",
-                    row=file_row,
+                    f"{path}: row {file_row} has an unparseable cell ({e})", row=file_row
                 ) from None
             if not all(math.isfinite(v) for v in vals):
-                raise DataError(
-                    f"{path}: row {file_row} contains NaN or Inf", row=file_row
-                )
+                raise DataError(f"{path}: row {file_row} contains NaN or Inf", row=file_row)
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -325,13 +308,6 @@ def load_csv(path, target_column: str) -> DataSet:
     return DataSet(table[:, mask], table[:, t_col], specs, target_name=target_column)
 
 
-def _parses_float(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
-
-
 def write_csv(d: DataSet, path) -> None:
     """Write the dataset as stored (raw or transformed) — exact round trip."""
     lines = [",".join([*d.feature_names, d.target_name])]
@@ -339,8 +315,6 @@ def write_csv(d: DataSet, path) -> None:
         cells = [fmt_float(v) for v in d.features[i]]
         cells.append(fmt_float(d.target[i]))
         lines.append(",".join(cells))
-    from ._io import atomic_write_text
-
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -414,17 +388,6 @@ def fit_transforms(d: DataSet, target_positive: bool = False):
         pipeline,
     )
     return out, pipeline
-
-
-def apply_transforms(d: DataSet, pipeline: TransformPipeline) -> DataSet:
-    """Apply a fitted pipeline to fresh raw data (e.g. held-out rows)."""
-    return DataSet(
-        pipeline.apply_features(d.features),
-        pipeline.apply_target(d.target),
-        d.feature_specs,
-        d.target_name,
-        pipeline,
-    )
 
 
 # =========================

@@ -13,7 +13,7 @@ Examples
 --------
 >>> import numpy as np
 >>> p = KernelParams(lengthscales=np.array([1.0, 4.0]), signal_variance=2.0)
->>> kernel_eval(p, [0.0, 0.0], [1.0, 2.0])  # 2 * exp(-1)
+>>> float(kernel_matrix(p, [[0.0, 0.0]], [[1.0, 2.0]])[0, 0])  # 2 * exp(-1)
 0.7357588823428847
 """
 
@@ -77,20 +77,6 @@ class KernelParams:
             np.asarray(member(doc, "lengthscales", list, what=what), dtype=float),
             float(member(doc, "signal_variance", float, what=what)),
         )
-
-
-def kernel_eval(params: KernelParams, x1, x2) -> float:
-    """Covariance between two single inputs."""
-    a = np.asarray(x1, dtype=float).ravel()
-    b = np.asarray(x2, dtype=float).ravel()
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"inputs have different lengths: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"inputs have length {a.shape[0]} but kernel has {params.input_dim} lengthscales"
-        )
-    d2 = np.square(a - b) / params.lengthscales
-    return float(params.signal_variance * np.exp(-0.5 * d2.sum()))
 
 
 def kernel_matrix(params: KernelParams, A, B=None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared builders and oracles for the chained-model tests.
+"""Shared builders and oracles for the tests.
 
 The collapse construction turns a homoscedastic exact-GPR posterior into
 an equivalent chained model: the mean latent carries the exact posterior
@@ -8,7 +8,9 @@ exact log marginal likelihood.
 
 The Gauss-Hermite quadrature of the expected log-likelihood is an
 independent cross-check for the closed form used during training, and the
-merge walk over quantile breakpoints one for the vectorized W1.
+merge walk over quantile breakpoints one for the vectorized W1. The
+single-pair kernel and the pipeline applied to fresh data are references
+for ``kernel_matrix`` and ``fit_transforms``.
 """
 
 import math
@@ -16,6 +18,8 @@ import math
 import numpy as np
 
 from hetgp.chained import KZZ_JITTER_REL, ChainedGpModel, LatentSparseGp
+from hetgp.data import DataSet, TransformPipeline
+from hetgp.errors import ShapeError
 from hetgp.kernels import KernelParams, kernel_matrix, stable_cholesky
 
 
@@ -84,3 +88,28 @@ def merge_quantile_w1(x, y):
             j += 1
         pos = nxt
     return math.fsum(terms) / (n * k)
+
+
+def kernel_eval(params: KernelParams, x1, x2) -> float:
+    """Covariance between two single inputs."""
+    a = np.asarray(x1, dtype=float).ravel()
+    b = np.asarray(x2, dtype=float).ravel()
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"inputs have different lengths: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[0] != params.input_dim:
+        raise ShapeError(
+            f"inputs have length {a.shape[0]} but kernel has {params.input_dim} lengthscales"
+        )
+    d2 = np.square(a - b) / params.lengthscales
+    return float(params.signal_variance * np.exp(-0.5 * d2.sum()))
+
+
+def apply_transforms(d: DataSet, pipeline: TransformPipeline) -> DataSet:
+    """Apply a fitted pipeline to fresh raw data (e.g. held-out rows)."""
+    return DataSet(
+        pipeline.apply_features(d.features),
+        pipeline.apply_target(d.target),
+        d.feature_specs,
+        d.target_name,
+        pipeline,
+    )

@@ -1,13 +1,23 @@
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hetgp.chained
 from hetgp import __version__
-from hetgp.cli import MAX_SLICE_QUERIES, _expand_slice, _parse_slice, main
+from hetgp.cli import (
+    MAX_SLICE_QUERIES,
+    _expand_slice,
+    _parse_slice,
+    _read_predictions,
+    _write_predictions_csv,
+    main,
+)
 from hetgp.errors import DataError
 from hetgp.synthbench import ReplicationStudy, load_scenario
 
@@ -128,6 +138,20 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     assert meta["master_seed"] == 3  # the config beat the built-in default
     assert meta["config"]["n"] == 10
     assert meta["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("argv, out_flag", [
+    (["sample", "--scenario", "S1", "--n", 5], "-o"),
+    (["train", "--model", "gpr", "--data", "d.csv"], "-o"),
+    (["predict", "--model", "m.json", "--at-slice", "x=0.5"], "-o"),
+    (["bench", "--n", 20], "--outdir"),
+])
+def test_seed_must_be_non_negative(tmp_path, capsys, argv, out_flag):
+    out = tmp_path / "out"
+    assert _run(*argv, "--seed", -1, out_flag, out) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative integer" in err
+    assert not out.exists()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -450,6 +474,8 @@ def test_evaluate_rejects_empty_predictions_file(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("row", [
     "0,0.5",                 # short row
     "0.5,0.5,sample,1.0",    # non-integer query_index
+    "0,99.0,sample,1.0",     # features differ from the query's first row
+    "0,0.5,sample,abc",      # non-numeric value
 ])
 def test_evaluate_rejects_malformed_prediction_rows(pipeline, tmp_path, capsys, row):
     pred = tmp_path / "p.csv"
@@ -459,6 +485,55 @@ def test_evaluate_rejects_malformed_prediction_rows(pipeline, tmp_path, capsys, 
     assert rc == 2
     err = capsys.readouterr().err
     assert str(pred) in err and "row 2" in err
+
+
+@pytest.mark.parametrize("sidecar", [[], {"format_version": 99}])
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+def test_bad_sidecar_exits_2(pipeline, tmp_path, capsys, command, sidecar):
+    if command == "train":
+        target = tmp_path / "d.csv"
+        shutil.copy(pipeline / "d.csv", target)
+        argv = ["train", "--model", "gpr", "--data", target, "-o", tmp_path / "m.json"]
+    elif command == "predict":
+        target = tmp_path / "q.csv"
+        target.write_text("x\n0.5\n")
+        argv = ["predict", "--model", pipeline / "gpr.json", "--queries", target,
+                "-o", tmp_path / "p.csv"]
+    else:
+        target = tmp_path / "p.csv"
+        shutil.copy(pipeline / "p_gpr.csv", target)
+        argv = ["evaluate", "--reference", pipeline / "ref.json", "--predictions", target,
+                "-o", tmp_path / "eval.json"]
+    meta = target.with_suffix(".meta.json")
+    meta.write_text(json.dumps(sidecar))
+    assert _run(*argv) == 2
+    assert str(meta) in capsys.readouterr().err
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 2.5e-310, 1e308, -1e308)
+prediction_values = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(queries=st.lists(st.tuples(
+    st.lists(prediction_values, min_size=2, max_size=2),  # features
+    prediction_values, prediction_values,                 # mean, variance
+    st.lists(prediction_values, max_size=20),             # samples
+), min_size=1, max_size=5))
+def test_predictions_csv_round_trip_is_bit_exact(tmp_path_factory, queries):
+    bits = lambda v: np.asarray(v, dtype=float).tobytes()
+    path = tmp_path_factory.getbasetemp() / "p_round_trip.csv"
+    stats = [{"mean": mean, "variance": var, "samples": np.array(samples, dtype=float)}
+             for _, mean, var, samples in queries]
+    _write_predictions_csv(path, ("u", "v"), np.array([q[0] for q in queries]), stats)
+    back = _read_predictions(path, ("u", "v"))
+    assert len(back) == len(queries)
+    for got, (features, mean, var, samples) in zip(back, queries):
+        assert bits(got["features"]) == bits(features)
+        assert bits(got["mean"]) == bits(mean)
+        assert bits(got["variance"]) == bits(var)
+        assert bits(got["samples"]) == bits(samples)
 
 
 @pytest.mark.parametrize("document, key, value", [

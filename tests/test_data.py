@@ -3,12 +3,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hetgp.data import (
     DataSet,
     FeatureSpec,
     TransformPipeline,
-    apply_transforms,
     feature_specs_from_json,
     fit_transforms,
     load_csv,
@@ -18,6 +20,7 @@ from hetgp.data import (
     zscore_filter,
 )
 from hetgp.errors import DataError
+from support import apply_transforms
 
 CSV_6D = """u,TI,alpha,Hs,Tp,Wdir,TwrBsMyt_avg
 6.0,18.2,0.1,1.5,7.0,-30.0,12.5
@@ -57,15 +60,18 @@ def test_load_csv_rejects_nan(tmp_path):
         load_csv(_write(tmp_path, text), "y")
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    d = DataSet(rng.normal(size=(17, 3)), rng.normal(size=17),
-                target_name="resp")
-    out = tmp_path / "rt.csv"
+@given(table=arrays(
+    np.float64, st.tuples(st.integers(1, 8), st.integers(2, 5)),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+))
+def test_csv_round_trip(tmp_path_factory, table):
+    d = DataSet(table[:, :-1], table[:, -1], target_name="resp")
+    out = tmp_path_factory.getbasetemp() / "rt.csv"
     write_csv(d, out)
     back = load_csv(out, "resp")
-    npt.assert_allclose(back.features, d.features, rtol=0, atol=1e-12)
-    npt.assert_allclose(back.target, d.target, rtol=0, atol=1e-12)
+    assert back.feature_names == d.feature_names
+    assert back.features.tobytes() == d.features.tobytes()
+    assert back.target.tobytes() == d.target.tobytes()
 
 
 def test_zscore_constant_targets_removes_nothing():

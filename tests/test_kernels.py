@@ -7,11 +7,11 @@ import pytest
 from hetgp.errors import NotPositiveDefiniteError, ShapeError
 from hetgp.kernels import (
     KernelParams,
-    kernel_eval,
     kernel_matrix,
     sq_dist_contract,
     stable_cholesky,
 )
+from support import kernel_eval
 
 
 def test_kernel_identity_is_signal_variance():
