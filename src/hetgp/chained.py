@@ -29,7 +29,7 @@ from scipy.linalg import solve_triangular
 from ._io import FORMAT_VERSION, check_version, dump_json, member, read_json
 from .data import DataSet, TransformPipeline
 from .errors import FormatError, NotPositiveDefiniteError, ShapeError
-from .gpr import GprFitConfig, gpr_fit, gpr_predict
+from .gpr import COARSE_FIT_SIZE, GprFitConfig, _farthest_point_rows, gpr_fit, gpr_predict
 from .kernels import KernelParams, kernel_matrix, sq_dist_contract, stable_cholesky
 from .optim import Adam
 
@@ -44,8 +44,6 @@ INIT_CHOL_SCALE = 0.1
 
 NOISE_PARAMETERIZATIONS = ("variance", "stddev")
 
-# subsample cap for the coarse exact fit that seeds f and the noise level
-COARSE_FIT_SIZE = 300
 # relative ELBO improvement that resets the early-stop counter
 FTOL_REL = 1e-6
 # iterations without such an improvement before stopping
@@ -564,22 +562,6 @@ class CgpFitConfig:
     seed: int = 0
     noise_parameterization: str = "variance"
     monotone: bool = False       # reject any step that lowers the ELBO
-
-
-def _farthest_point_rows(X: np.ndarray, count: int) -> np.ndarray:
-    """Greedy max-min design: start near the centroid, then spread out."""
-    n = X.shape[0]
-    if count == n:
-        return np.arange(n)
-    center = X.mean(axis=0)
-    start = int(np.argmin(np.sum((X - center) ** 2, axis=1)))
-    chosen = [start]
-    d2 = np.sum((X - X[start]) ** 2, axis=1)
-    for _ in range(count - 1):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((X - X[nxt]) ** 2, axis=1))
-    return np.asarray(chosen)
 
 
 def _initial_model(d: DataSet, config: CgpFitConfig, rng) -> ChainedGpModel:

@@ -53,7 +53,7 @@ from .synthbench import (
 
 USAGE_ERRORS = (
     DataError, ShapeError, ExpressionError, FormatError, ValueError,
-    FileNotFoundError,
+    FileNotFoundError, argparse.ArgumentError,
 )
 
 
@@ -848,6 +848,8 @@ def _own_dests(parser) -> set:
 def _apply_config(parser, doc) -> None:
     """Install config values as defaults everywhere the dest exists.
 
+    A value passes its option's ``type`` and ``choices`` checks, which
+    argparse skips for defaults; null only where the built-in default is.
     Subparsers re-apply their own defaults over the shared namespace, so
     the values must be set on each subparser, not just the root.
     """
@@ -855,7 +857,13 @@ def _apply_config(parser, doc) -> None:
     for p in _walk_parsers(parser):
         dests = _own_dests(p)
         known |= dests
-        hits = {k: v for k, v in doc.items() if k in dests}
+        hits = {}
+        for a in (a for a in p._actions if a.dest in dests & doc.keys()):  # noqa: SLF001
+            v = doc[a.dest]
+            if a.type is not None and (v is not None or a.default is not None):
+                v = p._get_value(a, str(v))  # noqa: SLF001 - the command line's checks
+            p._check_value(a, v)  # noqa: SLF001
+            hits[a.dest] = v
         if hits:
             p.set_defaults(**hits)
     unknown = set(doc) - known

@@ -154,6 +154,22 @@ def test_seed_must_be_non_negative(tmp_path, capsys, argv, out_flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, argv, rc, message", [
+    ({"seed": -1}, ["sample", "--scenario", "S1", "--n", 5], 2,
+     "argument --seed: expected a non-negative integer, got '-1'"),
+    ({"restarts": 1.5}, ["train", "--model", "gpr", "--data", "d.csv"], 2,
+     "argument --restarts: invalid int value: '1.5'"),
+    ({"design": "pseudorandom", "seed": 4}, ["sample", "--scenario", "S1", "--n", 5], 0, ""),
+], ids=["negative-seed", "float-restarts", "valid"])
+def test_config_values_pass_the_option_types(tmp_path, capsys, config, argv, rc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run("--config", cfg, *argv, "-o", out) == rc
+    assert message in capsys.readouterr().err
+    assert out.exists() == (rc == 0)
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))

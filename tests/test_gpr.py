@@ -4,9 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hetgp.gpr
 from hetgp.data import DataSet, FeatureSpec, sobol_design
 from hetgp.errors import FormatError, ShapeError
 from hetgp.gpr import (
+    COARSE_FIT_SIZE,
+    INIT_NOISE,
     ExactGprModel,
     GprFitConfig,
     gpr_fit,
@@ -121,6 +124,57 @@ def test_fit_never_worse_than_default_start():
     start = gpr_nll(KernelParams([1.0, 1.0], 1.0), 0.1, 0.0, X, y)
     final = gpr_nll(m.params, m.noise_variance, m.mean_const, X, y)
     assert final <= start + 1e-9
+
+
+def _recorded_fit(monkeypatch, n, opt):
+    """Fit on an n x 2 problem; return the model, the problem and the
+    (rows, theta) of every objective call."""
+    X, y = _random_problem(21, n=n)
+    calls = []
+    real = hetgp.gpr.nll_and_grad
+
+    def spy(theta, Xs, ys):
+        calls.append((len(ys), tuple(theta)))
+        return real(theta, Xs, ys)
+
+    monkeypatch.setattr(hetgp.gpr, "nll_and_grad", spy)
+    return gpr_fit(DataSet(X, y), opt), X, y, calls
+
+
+@pytest.mark.parametrize("n, restarts", [(COARSE_FIT_SIZE, 1), (320, 0)])
+def test_fit_without_a_subset_sees_all_rows(monkeypatch, n, restarts):
+    _, _, _, calls = _recorded_fit(monkeypatch, n, GprFitConfig(restarts=restarts, seed=4))
+    assert calls and {rows for rows, _ in calls} == {n}
+
+
+def test_fit_screens_restarts_on_the_subset(monkeypatch):
+    """n=320: the default start on all rows, the jittered ones on the
+    COARSE_FIT_SIZE subset, and only the subset winner again on all rows."""
+    n, opt = 320, GprFitConfig(restarts=2, seed=5)
+    model, X, y, calls = _recorded_fit(monkeypatch, n, opt)
+    rows = [r for r, _ in calls]
+    first, last = rows.index(COARSE_FIT_SIZE), len(rows) - 1 - rows[::-1].index(COARSE_FIT_SIZE)
+    assert set(rows[:first]) == {n} and first >= 2  # the NLL check and the default screen
+    assert set(rows[first:last + 1]) == {COARSE_FIT_SIZE}
+    assert set(rows[last + 1:]) == {n}
+
+    base = (0.0, 0.0, 0.0, math.log(INIT_NOISE), 0.0)
+    rng = np.random.default_rng(opt.seed)
+    jittered = [tuple(np.asarray(base) + np.append(rng.uniform(-1, 1, 4), 0.0))
+                for _ in range(opt.restarts)]
+    assert calls[0] == (n, base)
+    subset_thetas = {t for r, t in calls if r == COARSE_FIT_SIZE}
+    full_thetas = {t for r, t in calls if r == n}
+    assert set(jittered) <= subset_thetas
+    again = full_thetas & subset_thetas
+    assert len(again) == 1 and again <= set(jittered)
+    assert calls[last + 1][1] in again
+
+    start = gpr_nll(KernelParams([1.0, 1.0], 1.0), INIT_NOISE, 0.0, X, y)
+    final = gpr_nll(model.params, model.noise_variance, model.mean_const, X, y)
+    assert final <= start
+    twin = gpr_fit(DataSet(X, y), opt)
+    assert gpr_to_dict(twin) == gpr_to_dict(model)
 
 
 def test_fit_rejects_non_finite_start():
